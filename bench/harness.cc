@@ -58,6 +58,15 @@ std::string BinaryName() {
 #endif
 }
 
+// A bench whose results cannot be written measured nothing anyone can
+// read, so it must not exit 0. This runs inside an atexit handler, where
+// calling exit() again is undefined: flush and _Exit instead.
+[[noreturn]] void FailJsonWrite(const std::string& path) {
+  std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
+  std::fflush(nullptr);
+  std::_Exit(EXIT_FAILURE);
+}
+
 void WriteJsonAtExit() {
   const char* dir = std::getenv("STRUCTRIDE_JSON_DIR");
   if (dir == nullptr) return;
@@ -65,10 +74,7 @@ void WriteJsonAtExit() {
   const std::string name = BinaryName();
   std::string path = std::string(dir) + "/BENCH_" + name + ".json";
   FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
-    return;
-  }
+  if (f == nullptr) FailJsonWrite(path);
   double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     g_process_start)
@@ -147,7 +153,8 @@ void WriteJsonAtExit() {
                  i + 1 < state.values.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) FailJsonWrite(path);
   std::fprintf(stderr, "[bench] wrote %s (%zu rows, %zu values)\n",
                path.c_str(), state.rows.size(), state.values.size());
 }

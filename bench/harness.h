@@ -107,8 +107,10 @@ std::string JsonEscape(const std::string& s);
 /// \brief Machine-readable results: rows accumulate in-process and are
 /// written to $STRUCTRIDE_JSON_DIR/BENCH_<binary>.json at exit — one row per
 /// (series, point) with the full RunMetrics plus the bench's wall time. A
-/// no-op when the env var is unset. SweepPrinter::Record feeds this
-/// automatically; benches with bespoke tables call it directly.
+/// no-op when the env var is unset; when the file cannot be written the
+/// process exits with EXIT_FAILURE instead of its own status.
+/// SweepPrinter::Record feeds this automatically; benches with bespoke
+/// tables call it directly.
 void RecordJsonRow(const std::string& series, const std::string& point,
                    const RunMetrics& metrics);
 

@@ -25,38 +25,19 @@ std::vector<size_t> VehiclesByDistance(const std::vector<Vehicle>& fleet,
 
 /// Per-batch nearest-candidate scanner. Rebuilt once per batch from the
 /// batch-start fleet positions; answers from the grid-bucket index when
-/// enabled, or from the legacy full sort when not. Both paths return the
-/// identical (distance, index)-ordered prefix, so the knob only moves time.
-/// A persistent instance reuses the index's planes across Rebuild calls —
-/// steady-state batches rebuild without heap allocation — and the *Into
-/// query variants answer into caller buffers.
+/// enabled, or from the full VehiclesByDistance sort when not. Both paths
+/// return the identical (distance, index)-ordered prefix, so the knob only
+/// moves time. A persistent instance reuses the index's planes across
+/// Rebuild calls, so steady-state batches rebuild without heap allocation.
 class CandidateScanner {
  public:
-  CandidateScanner() = default;
-  CandidateScanner(const FleetView& fleet, const RoadNetwork& net,
-                   bool use_index) {
-    Rebuild(fleet, net, use_index);
-  }
-  CandidateScanner(const std::vector<Vehicle>& fleet, const RoadNetwork& net,
-                   bool use_index) {
-    Rebuild(fleet, net, use_index);
-  }
-
   void Rebuild(const FleetView& fleet, const RoadNetwork& net, bool use_index);
-  void Rebuild(const std::vector<Vehicle>& fleet, const RoadNetwork& net,
-               bool use_index);
 
-  /// The k nearest fleet indices to \p from.
-  std::vector<size_t> Nearest(NodeId from, size_t k) const;
-
-  /// Fleet indices with straight-line distance <= \p max_dist, nearest
-  /// first, capped at \p k.
-  std::vector<size_t> NearestWithin(NodeId from, size_t k,
-                                    double max_dist) const;
-
-  /// Allocation-free twins (on the indexed path): write up to \p k fleet
-  /// indices into \p out (room for k), return the count. Safe to call from
-  /// concurrent workers — staging uses the calling thread's scratch arena.
+  /// Writes the (up to) \p k nearest fleet indices to \p from into \p out
+  /// (room for k) and returns the count; NearestWithinInto stops at
+  /// straight-line distance \p max_dist. Allocation-free on the indexed
+  /// path, and safe to call from concurrent workers — staging uses the
+  /// calling thread's scratch arena.
   size_t NearestInto(NodeId from, size_t k, size_t* out) const;
   size_t NearestWithinInto(NodeId from, size_t k, double max_dist,
                            size_t* out) const;
@@ -70,19 +51,6 @@ class CandidateScanner {
   FleetSpatialIndex index_;
 };
 
-struct GroupInsertion {
-  bool feasible = false;
-  double delta_cost = 0;
-  Schedule schedule;
-};
-
-/// Linear insertion of \p members, in the given order, into \p committed
-/// evaluated from \p state; infeasible if any member fails.
-GroupInsertion InsertGroupSequential(const RouteState& state,
-                                     const Schedule& committed,
-                                     const std::vector<const Request*>& members,
-                                     TravelCostEngine* engine);
-
 /// Pooled result: the stop sequence lives in the arena passed to
 /// InsertGroupSequentialPooled, valid until that arena rewinds.
 struct PooledGroupInsertion {
@@ -92,10 +60,10 @@ struct PooledGroupInsertion {
   size_t len = 0;
 };
 
-/// The allocation-free twin of InsertGroupSequential: identical insertions
-/// in identical order (hence identical feasibility, delta and travel-cost
-/// query sequence), with every intermediate stage ping-ponged between two
-/// \p arena blocks instead of materialized as a Schedule.
+/// Linear insertion of \p members, in the given order, into \p committed
+/// evaluated from \p state; infeasible if any member fails. Every
+/// intermediate stage is ping-ponged between two \p arena blocks instead of
+/// materialized as a Schedule.
 PooledGroupInsertion InsertGroupSequentialPooled(
     const RouteState& state, Span<const Stop> committed,
     Span<const Request* const> members, TravelCostEngine* engine,

@@ -55,14 +55,6 @@ struct DispatchConfig {
   /// match on served / unified_cost / sp_queries and the graph edge set
   /// (DESIGN.md §7; pinned by tests and abl_incremental_sharegraph).
   bool incremental_sharegraph = true;
-  /// Run the pooled structure-of-arrays hot path (DESIGN.md §8): entity
-  /// state viewed through FleetSoA/RequestSoA planes, candidate schedules
-  /// built in SchedulePool / epoch-arena storage, per-batch scratch
-  /// bump-allocated and reset once per round — zero heap allocations per
-  /// steady-state batch once the pools are warm. `false` restores the
-  /// legacy vector-backed representation, which the pooled path must match
-  /// bitwise on served / unified_cost / sp_queries (pinned by tests).
-  bool soa_pools = true;
   /// Geo-sharding (DESIGN.md §12): partition the metro into this many zones
   /// and run one ShardRuntime (dispatcher + share graph + SoA planes + arena)
   /// per zone, with cross-shard trips handled by the boundary escrow and
@@ -134,15 +126,14 @@ struct DispatchContext {
   /// to their per-batch / private builders.
   ShareGraphBuilder* sharegraph = nullptr;
   /// Batch-scoped bump arena, owned by the caller and reset between rounds
-  /// (after the dispatcher returns). Pooled dispatcher paths stage
-  /// proposals, candidate schedules and scratch here. Null when the caller
+  /// (after the dispatcher returns). Dispatchers stage proposals,
+  /// candidate schedules and scratch here. Null when the caller
   /// keeps no arena (the frozen legacy engine, hand-built contexts) —
   /// dispatchers then fall back to a private arena.
   EpochArena* arena = nullptr;
   /// Structure-of-arrays views over the batch-start fleet and pending pool,
   /// refreshed by the caller each round (DESIGN.md §8). Null when the
-  /// caller maintains no pools; pooled dispatcher paths then refresh
-  /// private planes.
+  /// caller maintains no pools; dispatchers then refresh private planes.
   const FleetSoA* fleet_soa = nullptr;
   const RequestSoA* pending_soa = nullptr;
   /// Outputs: requests assigned this round; requests the dispatcher gives up

@@ -15,25 +15,16 @@
 // the clique partition would otherwise re-form the identical group next
 // batch and starve its members.
 //
-// Two representations of the same algorithm (DispatchConfig::soa_pools):
-// the pooled path stages the induced subgraph, clique partition, member
-// order and proposal slots as flat arrays in the batch arena and prices
-// groups through InsertGroupSequentialPooled (thread-scratch ping-pong
-// buffers) — zero heap allocations per steady-state batch once pools are
-// warm — while the legacy path below it keeps the original per-batch
-// containers as the bitwise parity reference. Every decision point (clique
-// seeds, member picks, proposal order, commit order, travel-cost query
-// sequence) is evaluated in the identical order, so the two paths reproduce
-// each other exactly on served / unified_cost / sp_queries.
+// The batch stages the induced subgraph, clique partition, member order
+// and proposal slots as flat arrays in the batch arena, and prices groups
+// through InsertGroupSequentialPooled (thread-scratch ping-pong buffers),
+// so a steady-state batch makes zero heap allocations once pools are warm
+// (DESIGN.md §8).
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "dispatch/common.h"
 #include "dispatch/dispatcher.h"
-#include "sharegraph/analysis.h"
 #include "util/thread_pool.h"
 
 namespace structride {
@@ -44,60 +35,6 @@ class SardDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (config_.soa_pools) {
-      OnBatchPooled(ctx);
-    } else {
-      OnBatchLegacy(ctx);
-    }
-  }
-
- private:
-  static constexpr size_t kCandidateVehicles = 16;
-
-  struct Proposal {
-    double delta = 0;
-    size_t vehicle = 0;
-  };
-
-  /// One-pointer capture context for the pooled pricing ParallelFor (a
-  /// std::function over a single pointer stays in its small-buffer slot, so
-  /// dispatching the parallel phase allocates nothing).
-  struct PriceCtx {
-    SardDispatcher* self;
-    DispatchContext* ctx;
-    const Request* const* member_reqs;
-    const size_t* group_first;
-    const size_t* group_len;
-    Proposal* props;
-    uint32_t* prop_count;
-  };
-
-  ShareGraphBuilder* SyncedBuilder(DispatchContext* ctx, ThreadPool* pool) {
-    // The run's engine-maintained builder when provided (closed requests
-    // already retired by lifecycle events), else the private persistent
-    // builder — both paths then do the same delta sync: drop anything no
-    // longer pending, fold the fresh slice in, so the graph tracks the
-    // open set (DESIGN.md §7).
-    ShareGraphBuilder* builder = ctx->sharegraph;
-    if (builder == nullptr) {
-      if (!builder_) {
-        builder_ = std::make_unique<ShareGraphBuilder>(ctx->engine,
-                                                       config_.sharegraph);
-        builder_->set_memoize_pairs(true);  // persistent across batches
-      }
-      builder = builder_.get();
-    }
-    builder->set_pool(pool);
-    builder->SyncToPending(ctx->pending);
-    SetPairChecks(builder->pair_checks());
-    return builder;
-  }
-
-  // ---------------------------------------------------------------------
-  // Pooled path (DispatchConfig::soa_pools = true, DESIGN.md §8).
-  // ---------------------------------------------------------------------
-
-  void OnBatchPooled(DispatchContext* ctx) {
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
 
@@ -120,11 +57,10 @@ class SardDispatcher : public Dispatcher {
     const size_t num_pending = ctx->pending.size();
 
     // Induced share subgraph over the open requests as a CSR adjacency in
-    // the batch arena: the same edge set the legacy path materializes as a
-    // per-batch ShareGraph (assigned/expired nodes fall out naturally
-    // because only pending ids resolve through IndexOfId). Each adjacency
-    // run is sorted so membership tests are binary searches; no decision
-    // below depends on adjacency order beyond the edge set.
+    // the batch arena (assigned/expired nodes fall out naturally because
+    // only pending ids resolve through IndexOfId). Each adjacency run is
+    // sorted so membership tests are binary searches; no decision below
+    // depends on adjacency order beyond the edge set.
     size_t* deg = arena->AllocateArray<size_t>(num_pending);
     size_t* offsets = arena->AllocateArray<size_t>(num_pending + 1);
     size_t num_adj = 0;
@@ -151,12 +87,12 @@ class SardDispatcher : public Dispatcher {
       return std::binary_search(adj + offsets[a], adj + offsets[a + 1], b);
     };
 
-    // GreedyCliquePartition on the flat representation. Seeds in ascending
-    // (degree, id) order; each clique grows by the eligible neighbor of its
-    // seed minimizing (degree, id). Both rules are min-over-a-set, so they
-    // match the legacy ShareGraph walk regardless of adjacency order, and
-    // (degree, id) is a total order (ids unique), so std::sort reproduces
-    // the legacy stable_sort.
+    // GreedyCliquePartition (sharegraph/analysis.h) on the flat
+    // representation. Seeds in ascending (degree, id) order; each clique
+    // grows by the eligible neighbor of its seed minimizing (degree, id).
+    // Both rules are min-over-a-set, so adjacency order cannot change the
+    // partition, and (degree, id) is a total order (ids unique), so the
+    // unstable std::sort is deterministic.
     int raw_bound = std::min(config_.vehicle_capacity,
                              config_.grouping.max_group_size);
     const size_t bound = static_cast<size_t>(raw_bound > 0 ? raw_bound : 1);
@@ -240,7 +176,7 @@ class SardDispatcher : public Dispatcher {
     auto price_task = [p = &pctx](size_t gi) {
       Span<const Request* const> mem(p->member_reqs + p->group_first[gi],
                                      p->group_len[gi]);
-      p->prop_count[gi] = static_cast<uint32_t>(p->self->PriceGroupPooled(
+      p->prop_count[gi] = static_cast<uint32_t>(p->self->PriceGroup(
           p->ctx, mem, p->props + gi * kCandidateVehicles));
     };
     if (pool && num_groups > 1) {
@@ -253,7 +189,7 @@ class SardDispatcher : public Dispatcher {
     for (size_t gi = 0; gi < num_groups; ++gi) {
       Span<const Request* const> mem(member_reqs + group_first[gi],
                                      group_len[gi]);
-      AssignPooled(ctx, mem, props + gi * kCandidateVehicles, prop_count[gi]);
+      Assign(ctx, mem, props + gi * kCandidateVehicles, prop_count[gi]);
     }
 
     size_t proposal_bytes = 0;
@@ -272,12 +208,54 @@ class SardDispatcher : public Dispatcher {
              scanner_.MemoryBytes() + group_bytes);
   }
 
+ private:
+  static constexpr size_t kCandidateVehicles = 16;
+
+  struct Proposal {
+    double delta = 0;
+    size_t vehicle = 0;
+  };
+
+  /// One-pointer capture context for the pooled pricing ParallelFor (a
+  /// std::function over a single pointer stays in its small-buffer slot, so
+  /// dispatching the parallel phase allocates nothing).
+  struct PriceCtx {
+    SardDispatcher* self;
+    DispatchContext* ctx;
+    const Request* const* member_reqs;
+    const size_t* group_first;
+    const size_t* group_len;
+    Proposal* props;
+    uint32_t* prop_count;
+  };
+
+  ShareGraphBuilder* SyncedBuilder(DispatchContext* ctx, ThreadPool* pool) {
+    // The run's engine-maintained builder when provided (closed requests
+    // already retired by lifecycle events), else the private persistent
+    // builder — both paths then do the same delta sync: drop anything no
+    // longer pending, fold the fresh slice in, so the graph tracks the
+    // open set (DESIGN.md §7).
+    ShareGraphBuilder* builder = ctx->sharegraph;
+    if (builder == nullptr) {
+      if (!builder_) {
+        builder_ = std::make_unique<ShareGraphBuilder>(ctx->engine,
+                                                       config_.sharegraph);
+        builder_->set_memoize_pairs(true);  // persistent across batches
+      }
+      builder = builder_.get();
+    }
+    builder->set_pool(pool);
+    builder->SyncToPending(ctx->pending);
+    SetPairChecks(builder->pair_checks());
+    return builder;
+  }
+
   /// Prices \p mem against its nearby vehicles into \p out (room for
   /// kCandidateVehicles), returning the count; (delta, vehicle)-sorted per
   /// the proposal policy. Pure read of the current fleet state; scratch
   /// lives on the calling thread's arena, so workers price concurrently
   /// without touching the heap.
-  size_t PriceGroupPooled(DispatchContext* ctx,
+  size_t PriceGroup(DispatchContext* ctx,
                           Span<const Request* const> mem, Proposal* out) {
     const FleetView& fleet = ctx->fleet;
     size_t count = 0;
@@ -318,8 +296,8 @@ class SardDispatcher : public Dispatcher {
         ++count;
       }
     }
-    // (delta, vehicle) is a total order (vehicle unique), so std::sort
-    // reproduces the legacy stable_sort.
+    // (delta, vehicle) is a total order (vehicle unique), so the unstable
+    // std::sort is deterministic.
     std::sort(out, out + count, [this](const Proposal& a, const Proposal& b) {
       if (a.delta != b.delta) {
         return config_.sard_propose_worst_first ? a.delta > b.delta
@@ -334,13 +312,13 @@ class SardDispatcher : public Dispatcher {
   /// live fleet state, commit to the first that still fits; a group nobody
   /// accepts retries as halves (recursively, down to singletons), priced on
   /// the spot. Member subsets are subspans — no copies.
-  void AssignPooled(DispatchContext* ctx, Span<const Request* const> mem,
+  void Assign(DispatchContext* ctx, Span<const Request* const> mem,
                     const Proposal* priced, size_t num_priced) {
     const FleetView& fleet = ctx->fleet;
     ArenaScope scope(ScratchArena());
     if (priced == nullptr) {
       Proposal* local = scope.AllocateArray<Proposal>(kCandidateVehicles);
-      num_priced = PriceGroupPooled(ctx, mem, local);
+      num_priced = PriceGroup(ctx, mem, local);
       priced = local;
     }
     for (size_t pi = 0; pi < num_priced; ++pi) {
@@ -359,165 +337,12 @@ class SardDispatcher : public Dispatcher {
     }
     if (mem.size() <= 1 || !config_.sard_split_rejected_groups) return;
     const size_t half = mem.size() / 2;
-    AssignPooled(ctx, Span<const Request* const>(mem.data(), half), nullptr,
+    Assign(ctx, Span<const Request* const>(mem.data(), half), nullptr,
                  0);
-    AssignPooled(ctx,
+    Assign(ctx,
                  Span<const Request* const>(mem.data() + half,
                                             mem.size() - half),
                  nullptr, 0);
-  }
-
-  // ---------------------------------------------------------------------
-  // Legacy path (soa_pools = false): the original vector-backed batch,
-  // kept verbatim as the pooled path's bitwise parity reference.
-  // ---------------------------------------------------------------------
-
-  void OnBatchLegacy(DispatchContext* ctx) {
-    const FleetView& fleet = ctx->fleet;
-    if (ctx->pending.empty()) return;
-
-    ThreadPool* pool = WorkerPool(ctx);
-    ShareGraphBuilder* builder = SyncedBuilder(ctx, pool);
-
-    // Induced subgraph over the open requests (assigned/expired nodes fall
-    // out naturally because only pending ids are copied in).
-    ShareGraph open;
-    std::unordered_map<RequestId, const Request*> by_id;
-    for (const Request* r : ctx->pending) {
-      open.AddNode(r->id);
-      by_id[r->id] = r;
-    }
-    for (const Request* r : ctx->pending) {
-      for (RequestId nb : builder->graph().Neighbors(r->id)) {
-        if (nb > r->id && by_id.count(nb)) open.AddEdge(r->id, nb);
-      }
-    }
-
-    int bound = std::min(config_.vehicle_capacity,
-                         config_.grouping.max_group_size);
-    std::vector<std::vector<RequestId>> groups =
-        GreedyCliquePartition(open, static_cast<size_t>(bound > 0 ? bound : 1));
-
-    // Members inside a group join schedules in ascending shareability order.
-    std::vector<std::vector<const Request*>> group_members(groups.size());
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      std::vector<RequestId> ids = groups[gi];
-      std::stable_sort(ids.begin(), ids.end(), [&](RequestId a, RequestId b) {
-        size_t da = open.Degree(a), db = open.Degree(b);
-        if (da != db) return da < db;
-        return a < b;
-      });
-      for (RequestId id : ids) group_members[gi].push_back(by_id[id]);
-    }
-
-    // One fleet index per batch; every nearest-candidate scan below answers
-    // from it (or from the legacy full sort when the knob is off).
-    dispatch::CandidateScanner scanner(fleet, ctx->engine->network(),
-                                       config_.use_spatial_index);
-
-    // Proposal pricing (phase A; pure, parallelizable): for each group, the
-    // feasible nearby vehicles ordered by the configured proposal policy.
-    auto price_group = [&](const std::vector<const Request*>& members) {
-      std::vector<Proposal> props;
-      NodeId anchor = members.front()->source;
-      const std::vector<size_t> nearest =
-          scanner.Nearest(anchor, kCandidateVehicles);
-      // Batched warm-up of the first insertion leg (see the pooled twin for
-      // the full provenance argument).
-      std::vector<NodeId> idle_nodes;
-      for (size_t vi : nearest) {
-        if (fleet[vi].schedule().empty()) idle_nodes.push_back(fleet[vi].node());
-      }
-      if (idle_nodes.size() > 1) {
-        std::vector<double> warmed(idle_nodes.size());
-        ctx->engine->CostMany(anchor, {idle_nodes.data(), idle_nodes.size()},
-                              warmed.data());
-      }
-      for (size_t vi : nearest) {
-        dispatch::GroupInsertion ins = dispatch::InsertGroupSequential(
-            fleet[vi].route_state(ctx->now), fleet[vi].schedule(), members,
-            ctx->engine);
-        if (ins.feasible) props.push_back({ins.delta_cost, vi});
-      }
-      std::stable_sort(props.begin(), props.end(),
-                       [&](const Proposal& a, const Proposal& b) {
-                         if (a.delta != b.delta) {
-                           return config_.sard_propose_worst_first
-                                      ? a.delta > b.delta
-                                      : a.delta < b.delta;
-                         }
-                         return a.vehicle < b.vehicle;
-                       });
-      return props;
-    };
-
-    std::vector<std::vector<Proposal>> proposals(groups.size());
-    auto price_task = [&](size_t gi) {
-      proposals[gi] = price_group(group_members[gi]);
-    };
-    if (pool && groups.size() > 1) {
-      pool->ParallelFor(groups.size(), price_task);
-    } else {
-      for (size_t gi = 0; gi < groups.size(); ++gi) price_task(gi);
-    }
-
-    // Acceptance commits (phase B; serial, deterministic group order). A
-    // vehicle's schedule may have grown since pricing, so each proposal is
-    // re-validated before committing. A group nobody accepts retries as
-    // halves (recursively, down to singletons): the split subgroups are
-    // priced on the spot against the current fleet state.
-    std::function<void(const std::vector<const Request*>&,
-                       const std::vector<Proposal>*)>
-        assign = [&](const std::vector<const Request*>& members,
-                     const std::vector<Proposal>* priced) {
-          std::vector<Proposal> local;
-          if (priced == nullptr) {
-            local = price_group(members);
-            priced = &local;
-          }
-          for (const Proposal& p : *priced) {
-            Vehicle& v = fleet[p.vehicle];
-            dispatch::GroupInsertion ins = dispatch::InsertGroupSequential(
-                v.route_state(ctx->now), v.schedule(), members, ctx->engine);
-            if (!ins.feasible) continue;
-            if (!v.CommitSchedule(ins.schedule, ctx->now, ctx->engine)) {
-              continue;
-            }
-            for (const Request* r : members) ctx->assigned.push_back(r->id);
-            return;
-          }
-          if (members.size() <= 1 || !config_.sard_split_rejected_groups) {
-            return;
-          }
-          auto mid = members.begin() +
-                     static_cast<ptrdiff_t>(members.size() / 2);
-          std::vector<const Request*> lo(members.begin(), mid);
-          std::vector<const Request*> hi(mid, members.end());
-          assign(lo, nullptr);
-          assign(hi, nullptr);
-        };
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      assign(group_members[gi], &proposals[gi]);
-    }
-
-    size_t proposal_bytes = 0;
-    for (const auto& plist : proposals) {
-      proposal_bytes += plist.size() * sizeof(Proposal);
-    }
-    // Size-based accounting over the same content terms as the pooled twin
-    // (CSR offsets + adjacency, member/group records), so memory_bytes is
-    // identical across the two representations (pinned by tests/soa_test).
-    size_t num_adj = 0;
-    for (const Request* r : ctx->pending) num_adj += open.Degree(r->id);
-    size_t num_members = 0;
-    for (const auto& g : groups) num_members += g.size();
-    const size_t graph_bytes =
-        (2 * ctx->pending.size() + 1 + num_adj) * sizeof(size_t);
-    const size_t group_bytes =
-        num_members * (sizeof(size_t) + sizeof(const Request*)) +
-        groups.size() * 2 * sizeof(size_t);
-    NotePeak(builder->MemoryBytes() + graph_bytes + proposal_bytes +
-             scanner.MemoryBytes() + group_bytes);
   }
 
   // The caller's per-run pool when provided; otherwise a private pool built
@@ -536,9 +361,9 @@ class SardDispatcher : public Dispatcher {
   /// legacy engine, hand-built contexts): SARD stays persistent either way.
   std::unique_ptr<ShareGraphBuilder> builder_;
   std::unique_ptr<ThreadPool> own_pool_;
-  /// Pooled-path persistent state: the per-batch fleet index (planes
-  /// refilled in place), the fallback pending-pool SoA view and the
-  /// fallback batch arena for callers that provide none.
+  /// Persistent batch state: the per-batch fleet index (planes refilled in
+  /// place), the fallback pending-pool SoA view and the fallback batch
+  /// arena for callers that provide none.
   dispatch::CandidateScanner scanner_;
   RequestSoA pending_soa_;
   EpochArena own_arena_;

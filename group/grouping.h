@@ -10,14 +10,11 @@
 //    schedule is tried for the new member and the cheapest kept; more work,
 //    occasionally better schedules.
 //
-// Two representations of the output (DESIGN.md §8):
-//  - EnumerateGroups: one CandidateGroup per group, each owning vectors —
-//    the legacy reference the differential tests pin against.
-//  - EnumerateGroupsPooled: groups append into a caller-owned
-//    GroupingScratch (schedules in a SchedulePool, member ids in one flat
-//    vector) that persists across batches — a warmed scratch serves a
-//    steady-state batch without heap allocation. Identical groups in
-//    identical order, bitwise-identical schedules and deltas.
+// EnumerateGroupsPooled appends groups into a caller-owned GroupingScratch
+// (schedules in a SchedulePool, member ids in one flat vector) that
+// persists across batches, so a warmed scratch serves a steady-state batch
+// without heap allocation (DESIGN.md §8). EnumerateGroups is a convenience
+// copy-out into one owning CandidateGroup per group.
 
 #pragma once
 
@@ -55,18 +52,8 @@ struct GroupingResult {
   bool truncated = false;  ///< hit max_groups before finishing a level
 };
 
-/// Enumerates feasible groups from \p pool for a vehicle at \p state with
-/// \p committed stops. Groups must be cliques in \p graph (a null graph
-/// admits only singleton groups).
-GroupingResult EnumerateGroups(const RouteState& state,
-                               const Schedule& committed,
-                               const std::vector<Request>& pool,
-                               const ShareGraph* graph,
-                               TravelCostEngine* engine,
-                               const GroupingOptions& options);
-
-/// One enumerated group in the pooled representation: members are a slice
-/// of GroupingScratch::member_ids, the schedule a SchedulePool handle.
+/// One enumerated group: members are a slice of GroupingScratch::member_ids,
+/// the schedule a SchedulePool handle.
 struct PooledGroup {
   uint32_t members_first = 0;
   uint32_t members_len = 0;
@@ -122,10 +109,11 @@ struct PooledGroupingResult {
   bool truncated = false;  ///< hit max_groups before finishing a level
 };
 
-/// The pooled twin of EnumerateGroups: same groups, same order, same
-/// schedules and deltas, same travel-cost query sequence — appended into
-/// \p scratch instead of freshly allocated. \p options.max_groups caps this
-/// call's group count (not the scratch total).
+/// Enumerates feasible groups from \p pool for a vehicle at \p state with
+/// \p committed stops, appending them into \p scratch. Groups must be
+/// cliques in \p graph (a null graph admits only singleton groups).
+/// \p options.max_groups caps this call's group count (not the scratch
+/// total).
 PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
                                            Span<const Stop> committed,
                                            Span<const Request* const> pool,
@@ -134,14 +122,19 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
                                            const GroupingOptions& options,
                                            GroupingScratch* scratch);
 
-/// Estimated heap footprint of a grouping result (for Fig.-14-style
-/// instrumented memory accounting).
-size_t GroupingMemoryBytes(const GroupingResult& result);
-
-/// Pooled counterpart of GroupingMemoryBytes for one call's slice: counts
-/// the same content bytes (group records, member ids, schedule stops), so
-/// the instrumented accounting stays representation-independent.
+/// Instrumented footprint of one call's slice (Fig.-14-style accounting):
+/// the content bytes of the groups as materialized CandidateGroups (group
+/// records, member ids, schedule stops), never pool capacity.
 size_t PooledGroupingMemoryBytes(const GroupingScratch& scratch,
                                  const PooledGroupingResult& result);
+
+/// EnumerateGroupsPooled copied out into one owning CandidateGroup per
+/// group, over a scratch of its own.
+GroupingResult EnumerateGroups(const RouteState& state,
+                               const Schedule& committed,
+                               const std::vector<Request>& pool,
+                               const ShareGraph* graph,
+                               TravelCostEngine* engine,
+                               const GroupingOptions& options);
 
 }  // namespace structride

@@ -889,19 +889,13 @@ void SimulationEngine::EventRun::RunShardBatch(ShardRuntime& sh, bool online) {
     ctx.pending.push_back(&requests_[idx]);
     if (service_) ctx.pending_ingest_wall.push_back(ingest_wall_[idx]);
   }
-  if (config_.soa_pools) {
-    sh.arena.Reset();
-    sh.fleet_soa.Refresh(ctx.fleet);
-    sh.pending_soa.Refresh(
-        Span<const Request* const>(ctx.pending.data(), ctx.pending.size()));
-    ctx.arena = &sh.arena;
-    ctx.fleet_soa = &sh.fleet_soa;
-    ctx.pending_soa = &sh.pending_soa;
-  } else {
-    ctx.arena = nullptr;
-    ctx.fleet_soa = nullptr;
-    ctx.pending_soa = nullptr;
-  }
+  sh.arena.Reset();
+  sh.fleet_soa.Refresh(ctx.fleet);
+  sh.pending_soa.Refresh(
+      Span<const Request* const>(ctx.pending.data(), ctx.pending.size()));
+  ctx.arena = &sh.arena;
+  ctx.fleet_soa = &sh.fleet_soa;
+  ctx.pending_soa = &sh.pending_soa;
 
   const uint64_t allocs_before = CurrentHeapAllocCount();
   auto t0 = std::chrono::steady_clock::now();

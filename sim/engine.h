@@ -18,6 +18,10 @@
 // receives it via DispatchContext::sharegraph. RunLegacy never maintains
 // one — it always replays the frozen rebuild-per-batch reference stack.
 //
+// Every round hands the dispatcher the engine's batch arena and refreshed
+// FleetSoA/RequestSoA planes (DESIGN.md §8); RunLegacy passes none, and the
+// dispatchers fall back to private ones.
+//
 // Statefulness contract: SpawnFleet fixes the fleet's spawn positions once;
 // every Run starts from that spawn with fresh request state, but the fault
 // model's RNG (capacity draws, cancellation draws) advances across runs on
@@ -140,7 +144,7 @@ struct RunMetrics {
   double pickup_wait_p50 = 0;     ///< median pickup - release wait
   double pickup_wait_p99 = 0;     ///< nearest-rank p99 pickup wait
   double mean_detour_ratio = 0;   ///< mean (dropoff - pickup) / direct_cost
-  /// Committed dropoffs that missed their deadline. CommitSchedule enforces
+  /// Committed dropoffs that missed their deadline. CommitStops enforces
   /// deadlines at commit time and arrivals are fixed thereafter, so this is
   /// 0 by construction — tests pin it as the repositioning invariant.
   int late_dropoffs = 0;
@@ -149,8 +153,8 @@ struct RunMetrics {
   double reposition_cost = 0;   ///< their travel cost (inside travel_cost)
   // Allocation discipline (DESIGN.md §8). A *steady-state* batch is a
   // dispatch round whose pending pool is non-empty and contains no freshly
-  // released request — the warmed regime where the pooled paths promise
-  // zero heap allocations. Counts are heap allocations observed strictly
+  // released request — the warmed regime where dispatchers promise zero
+  // heap allocations. Counts are heap allocations observed strictly
   // inside Dispatcher::OnBatch under the counting allocator
   // (util/alloc_gate.h); both stay 0 in binaries that don't link
   // util/counting_new.cc, and in RunLegacy (frozen loop, not instrumented).

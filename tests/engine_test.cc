@@ -297,7 +297,7 @@ TEST(EngineTest, OnlineDispatchServesWhatBatchTicksMiss) {
 }
 
 // Contract 3: repositioning must never break promises. Late dropoffs stay
-// impossible (CommitSchedule still gates every commit), completed legs are
+// impossible (CommitStops still gates every commit), completed legs are
 // counted and charged into travel cost, and the run stays deterministic.
 TEST(EngineTest, RepositioningKeepsInvariants) {
   auto run_with_policy = [&](bool enabled) {
