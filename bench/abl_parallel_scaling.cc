@@ -1,14 +1,11 @@
 // Ablation for the paper's scalability note ("multi-threading can speed up
 // the Shareability Graph building and acceptance stage as each vehicle
 // decides independently"): SARD swept over worker-thread counts × fleet
-// sizes, against the *serial baseline* — one thread on the legacy dispatch
-// path (full-fleet distance sort per group scan, no worker pool), i.e. the
-// pre-refactor code the sharded cache / spatial index / thread pool
-// replaced. Result quality (service rate, unified cost, served, #SP
-// queries) must be identical in every cell: the parallelism prices
-// proposals only, commits stay serial and deterministic, and the spatial
-// index is outcome-identical by construction. The bench exits nonzero if
-// any cell's outcome diverges from its fleet's baseline, so the nightly
+// sizes, with speedup reported against the 1-thread cell of the same
+// fleet. Result quality (service rate, unified cost, served, #SP queries)
+// must be identical in every cell: the parallelism prices proposals only
+// and commits stay serial and deterministic. The bench exits nonzero if any
+// cell's outcome diverges from its fleet's 1-thread cell, so the nightly
 // smoke run doubles as a determinism check.
 
 #include <cstdio>
@@ -27,7 +24,7 @@ using namespace structride::bench;
 int main() {
   const double scale = BenchScale();
   std::printf("\n================================================================\n");
-  std::printf("Scalability ablation: SARD threads x fleet sweep vs serial baseline\n");
+  std::printf("Scalability ablation: SARD threads x fleet sweep vs 1 thread\n");
   std::printf("================================================================\n");
   std::printf("%-8s%-8s%-10s%10s%16s%12s%10s%12s\n", "city", "fleet",
               "threads", "service", "unified cost", "time (s)", "speedup",
@@ -57,11 +54,10 @@ int main() {
       SimulationEngine sim(&engine, reqs, sopts);
       sim.SpawnFleet(spec.num_vehicles * fleet_mult, spec.capacity);
 
-      auto config_for = [&](int threads, bool spatial_index) {
+      auto config_for = [&](int threads) {
         DispatchConfig c;
         c.vehicle_capacity = spec.capacity;
         c.grouping.max_group_size = spec.capacity;
-        c.use_spatial_index = spatial_index;
         c.sard_parallel_acceptance = threads > 1;
         c.num_threads = threads;
         return c;
@@ -69,30 +65,22 @@ int main() {
 
       // Warm the shared travel-cost cache so every measured cell sees the
       // same (hot) cache and #SP-query comparisons are apples-to-apples.
-      sim.Run("SARD", config_for(1, true));
+      sim.Run("SARD", config_for(1));
 
-      // Serial baseline: one thread, legacy full-sort candidate scans.
-      RunMetrics base = sim.Run("SARD", config_for(1, false));
-      RecordJsonRow("SARD", ds + " x" + std::to_string(fleet_mult) + " base",
-                    base);
-      std::printf("%-8sx%-7d%-10s%10.3f%16.0f%12.2f%10s%12s\n", ds.c_str(),
-                  fleet_mult, "base", base.service_rate, base.unified_cost,
-                  base.running_time, "1.00", "-");
-
+      RunMetrics base;
       for (int threads : {1, 2, 4, 8}) {
-        RunMetrics r = sim.Run("SARD", config_for(threads, true));
+        RunMetrics r = sim.Run("SARD", config_for(threads));
         RecordJsonRow("SARD", ds + " x" + std::to_string(fleet_mult) + " t" +
                                   std::to_string(threads),
                       r);
+        if (threads == 1) base = r;
         bool same = r.served == base.served &&
                     r.unified_cost == base.unified_cost &&
                     r.sp_queries == base.sp_queries;
         if (!same) ++divergences;
         // The allocation gate (DESIGN.md §8): with the counting allocator
         // linked in, the pooled dispatch path must keep its zero-heap
-        // promise on steady-state rounds at every thread count. The serial
-        // baseline cell is exempt — use_spatial_index=false runs the legacy
-        // allocating candidate scans by design.
+        // promise on steady-state rounds at every thread count.
         bool allocs_ok =
             !HeapAllocCountingActive() || r.allocs_per_batch_p50 == 0;
         if (!allocs_ok) ++alloc_gate_failures;
@@ -102,7 +90,7 @@ int main() {
                     r.running_time > 0 ? base.running_time / r.running_time
                                        : 0.0,
                     static_cast<unsigned long long>(r.allocs_per_batch_p50),
-                    same ? "" : "  << DIVERGED from baseline",
+                    same ? "" : "  << DIVERGED from the 1-thread cell",
                     allocs_ok ? "" : "  << STEADY BATCHES ALLOCATED");
       }
     }
@@ -113,9 +101,8 @@ int main() {
     // concurrent shard batches are the *only* thing threads buy. Each shard
     // count gets its own engine (its own cache partitions, warmed before
     // measuring); the gate is thread-invariance — the 8-thread cell must be
-    // bitwise identical to the 1-thread cell of the same shard count, which
-    // pins the concurrent batch phase against the serial shard-id-order
-    // reference. Outcomes legitimately differ *across* shard counts (zonal
+    // bitwise identical to the 1-thread cell of the same shard count, whose
+    // shard batches run one after another in shard-id order. Outcomes legitimately differ *across* shard counts (zonal
     // dispatch is a different policy), so speedup is reported against the
     // 1-shard 1-thread cell but parity is gated only within a shard count.
     std::printf("%-8s%-8s%-10s%10s%16s%12s%10s%12s\n", "city", "shards",
@@ -132,7 +119,6 @@ int main() {
         c.sard_parallel_acceptance = false;
         c.num_threads = threads;
         c.num_shards = shards;
-        c.concurrent_shards = BenchConcurrentShards();
         return c;
       };
       // Warm both the shared root cache and this engine's shard partitions.
@@ -169,20 +155,18 @@ int main() {
     }
   }
 
-  std::printf("\nEvery cell must match its fleet's baseline on served, unified\n"
-              "cost and #SP queries: pricing is a pure read of batch-start\n"
-              "fleet state, commits are serial in group order, and the grid\n"
-              "fleet index returns the exact prefix of the legacy distance\n"
-              "sort. Speedup at 1 thread isolates the spatial index + sharded\n"
-              "cache; higher thread counts add pooled parallel graph building\n"
-              "and proposal pricing, and scale with the cores the host\n"
+  std::printf("\nEvery cell must match its fleet's 1-thread cell on served,\n"
+              "unified cost and #SP queries: pricing is a pure read of\n"
+              "batch-start fleet state and commits are serial in group order.\n"
+              "Higher thread counts add pooled parallel graph building and\n"
+              "proposal pricing, and scale with the cores the host\n"
               "actually has (on a single-core container they only measure\n"
               "pool overhead). The shards block sweeps the second parallel\n"
               "axis: with acceptance serial, 8 threads must be bitwise\n"
               "identical to 1 thread at every shard count — concurrent shard\n"
               "batches change wall-clock only.\n");
   if (divergences > 0) {
-    std::fprintf(stderr, "FAIL: %d cells diverged from the serial baseline\n",
+    std::fprintf(stderr, "FAIL: %d cells diverged from the 1-thread cell\n",
                  divergences);
     return 1;
   }

@@ -1,18 +1,13 @@
 // Geo-sharding ablation (DESIGN.md §12): SARD on the event core at 1, 2 and
-// 4 shards over the CHD preset, plus a 4-shard NYC wall-clock cell. Three
-// hard gates, all fatal (nonzero exit):
+// 4 shards over the CHD preset, plus a 4-shard NYC wall-clock cell. Two
+// hard gates, both fatal (nonzero exit):
 //
-//   1-shard parity   the num_shards=1 cell must be *bitwise* identical to
-//                    the frozen legacy fixed-batch engine on served /
-//                    unified cost / #SP queries / service-quality stats —
-//                    the whole shard machinery must vanish at Z=1.
-//   serial==conc     every multi-shard cell runs twice, with
-//                    concurrent_shards off (the serial shard-id-order
-//                    reference) and on (the pool-task batch phase); the two
-//                    must agree bitwise on every parity metric, per-shard
-//                    sp_queries included.
-//   N-shard census   at 2 and 4 shards every request must reach exactly one
-//                    terminal outcome: served + cancelled + expired +
+//   serial==conc     every cell runs at 1 thread (the shards' batches one
+//                    after another in shard-id order) and at 8 threads (the
+//                    pool-task batch phase); the two must agree bitwise on
+//                    every parity metric, per-shard sp_queries included.
+//   census           at every shard count every request must reach exactly
+//                    one terminal outcome: served + cancelled + expired +
 //                    rejected + late == total. (The engine additionally
 //                    SR_CHECKs vehicle/request conservation every round,
 //                    so a violation aborts the binary — also nonzero.)
@@ -20,11 +15,11 @@
 // The sweep reports the sharding observables per cell: per-shard load
 // balance (max/mean of per-shard assignment counts), the cross-shard trip
 // fraction, and the batch-time imbalance ratio, all landing in the BENCH
-// json via RecordJsonRow. The NYC section records both the serial and the
-// concurrent wall-clock ("NYC shards=4 serial t8" / "NYC shards=4 t8") so
-// CI's compare_bench.py cell can gate the concurrent speedup; the
-// STRUCTRIDE_CONC_SHARDS env knob flips the recorded non-"serial" rows to
-// serial execution for the two-directory comparison.
+// json via RecordJsonRow. Recorded rows run at STRUCTRIDE_THREADS, so two
+// invocations — STRUCTRIDE_THREADS=1 and a concurrent thread count —
+// record the same point names for CI's compare_bench.py speedup gate on
+// the "NYC shards=4" row; that row also carries the in-process speedup of
+// the recorded run over its 1-thread run.
 
 #include <cstdio>
 #include <string>
@@ -82,9 +77,9 @@ int main() {
   config.vehicle_capacity = spec.capacity;
   config.grouping.max_group_size = spec.capacity;
   config.sharegraph.vehicle_capacity = spec.capacity;
-  config.num_threads = 8;
+  const int threads = BenchThreads();
 
-  auto run_cell = [&](int num_shards, bool legacy, bool concurrent) {
+  auto run_cell = [&](int num_shards, int num_threads) {
     SimulationOptions sopts;
     sopts.batch_period = 5;
     sopts.seed = 4242;
@@ -93,26 +88,22 @@ int main() {
     sim.SpawnFleet(spec.num_vehicles, spec.capacity);
     DispatchConfig cell_config = config;
     cell_config.num_shards = num_shards;
-    cell_config.concurrent_shards = concurrent;
-    return legacy ? sim.RunLegacy("SARD", cell_config)
-                  : sim.Run("SARD", cell_config);
+    cell_config.num_threads = num_threads;
+    return sim.Run("SARD", cell_config);
   };
 
   // Warm the shared travel-cost cache so every recorded cell sees the same
   // (hot) root cache and #SP-query comparisons are apples-to-apples. (The
   // per-shard cache partitions live on each cell's own SimulationEngine and
-  // start cold either way, identically for the serial and concurrent runs.)
-  run_cell(1, /*legacy=*/false, /*concurrent=*/false);
+  // start cold either way, identically at every thread count.)
+  run_cell(1, 1);
 
-  const bool conc_mode = BenchConcurrentShards();
-  const RunMetrics legacy = run_cell(1, /*legacy=*/true, false);
   for (int shards : {1, 2, 4}) {
-    const RunMetrics serial = run_cell(shards, /*legacy=*/false, false);
-    // The recorded cell honours STRUCTRIDE_CONC_SHARDS so two bench
-    // invocations (env 0 vs default) record serial vs concurrent rows under
-    // the same point names for compare_bench.py.
-    const RunMetrics m =
-        conc_mode ? run_cell(shards, /*legacy=*/false, true) : serial;
+    const RunMetrics serial = run_cell(shards, 1);
+    const RunMetrics conc = run_cell(shards, 8);
+    const RunMetrics m = threads == 1   ? serial
+                         : threads == 8 ? conc
+                                        : run_cell(shards, threads);
     double frac = m.served > 0 ? static_cast<double>(m.cross_shard_trips) /
                                      static_cast<double>(m.served)
                                : 0;
@@ -124,48 +115,31 @@ int main() {
                 frac, m.shard_load_max_over_mean,
                 m.shard_round_time_max_over_mean, m.running_time);
 
-    if (conc_mode && !SameOutcome(serial, m)) {
+    if (!SameOutcome(serial, conc) || !SameOutcome(serial, m)) {
       ++failures;
       std::fprintf(stderr,
-                   "FAIL: concurrent_shards diverged from the serial shard "
-                   "loop at %d shards\n",
+                   "FAIL: the concurrent batch phase diverged from the "
+                   "1-thread run at %d shards\n",
                    shards);
     }
-    if (shards == 1) {
-      bool same = m.served == legacy.served &&
-                  m.unified_cost == legacy.unified_cost &&
-                  m.sp_queries == legacy.sp_queries &&
-                  m.cancelled == legacy.cancelled &&
-                  m.expired == legacy.expired &&
-                  m.pickup_wait_p50 == legacy.pickup_wait_p50 &&
-                  m.pickup_wait_p99 == legacy.pickup_wait_p99 &&
-                  m.mean_detour_ratio == legacy.mean_detour_ratio;
-      if (!same || m.cross_shard_trips != 0 || m.num_shards != 1) {
-        ++failures;
-        std::fprintf(stderr,
-                     "FAIL: 1-shard run diverged from the legacy engine\n");
-      }
-    } else {
-      long closed = static_cast<long>(m.served) +
-                    static_cast<long>(m.cancelled) +
-                    static_cast<long>(m.expired) +
-                    static_cast<long>(m.rejected) +
-                    static_cast<long>(m.late_dropoffs);
-      if (closed != m.total_requests || m.num_shards != shards) {
-        ++failures;
-        std::fprintf(stderr,
-                     "FAIL: %d-shard census %ld != %d total requests\n",
-                     shards, closed, m.total_requests);
-      }
+    long closed = static_cast<long>(m.served) +
+                  static_cast<long>(m.cancelled) +
+                  static_cast<long>(m.expired) +
+                  static_cast<long>(m.rejected) +
+                  static_cast<long>(m.late_dropoffs);
+    if (closed != m.total_requests || m.num_shards != shards ||
+        (shards == 1 && m.cross_shard_trips != 0)) {
+      ++failures;
+      std::fprintf(stderr, "FAIL: %d-shard census %ld != %d total requests\n",
+                   shards, closed, m.total_requests);
     }
   }
 
-  // ---- NYC wall-clock cell: 4 shards, 8 threads, serial vs concurrent ----
+  // ---- NYC wall-clock cell: 4 shards, 1 thread vs STRUCTRIDE_THREADS ----
   // sard_parallel_acceptance stays off so shard-level concurrency is the
   // only difference between the two runs; the speedup is then sum(t_i) /
   // max-chain, bounded by the batch-time imbalance ratio reported above.
-  std::printf("\nNYC preset, 4 shards, 8 threads: serial vs concurrent "
-              "batch phase\n");
+  std::printf("\nNYC preset, 4 shards: 1 thread vs %d threads\n", threads);
   {
     DatasetSpec nyc = DatasetByName("NYC", scale);
     RoadNetwork nyc_net = BuildNetwork(&nyc);
@@ -176,9 +150,8 @@ int main() {
     nyc_config.vehicle_capacity = nyc.capacity;
     nyc_config.grouping.max_group_size = nyc.capacity;
     nyc_config.sharegraph.vehicle_capacity = nyc.capacity;
-    nyc_config.num_threads = 8;
     nyc_config.num_shards = 4;
-    auto run_nyc = [&](bool concurrent) {
+    auto run_nyc = [&](int num_threads) {
       SimulationOptions sopts;
       sopts.batch_period = 5;
       sopts.seed = 4242;
@@ -186,42 +159,38 @@ int main() {
       SimulationEngine sim(&nyc_engine, nyc_requests, sopts);
       sim.SpawnFleet(nyc.num_vehicles, nyc.capacity);
       DispatchConfig cell_config = nyc_config;
-      cell_config.concurrent_shards = concurrent;
+      cell_config.num_threads = num_threads;
       return sim.Run("SARD", cell_config);
     };
-    run_nyc(false);  // warm the root cache, as above
-    const RunMetrics serial = run_nyc(false);
-    const RunMetrics conc = conc_mode ? run_nyc(true) : run_nyc(false);
-    if (!SameOutcome(serial, conc)) {
+    run_nyc(1);  // warm the root cache, as above
+    const RunMetrics serial = run_nyc(1);
+    const RunMetrics m = threads == 1 ? serial : run_nyc(threads);
+    if (!SameOutcome(serial, m)) {
       ++failures;
       std::fprintf(stderr,
-                   "FAIL: concurrent_shards diverged from the serial shard "
-                   "loop on NYC/4 shards\n");
+                   "FAIL: the concurrent batch phase diverged from the "
+                   "1-thread run on NYC/4 shards\n");
     }
     const double speedup =
-        conc.running_time > 0 ? serial.running_time / conc.running_time : 0;
-    RecordJsonRow("SARD", "NYC shards=4 serial t8", serial);
-    RecordJsonRow("SARD", "NYC shards=4 t8", conc);
-    RecordJsonValue("SARD", "NYC shards=4 t8", "concurrent_speedup", speedup);
-    std::printf("%-22s%12s%12s%10s\n", "mode", "time (s)", "time m/m",
+        m.running_time > 0 ? serial.running_time / m.running_time : 0;
+    RecordJsonRow("SARD", "NYC shards=4", m);
+    RecordJsonValue("SARD", "NYC shards=4", "concurrent_speedup", speedup);
+    std::printf("%-22s%12s%12s%10s\n", "threads", "time (s)", "time m/m",
                 "speedup");
-    std::printf("%-22s%12.2f%12.3f%10s\n", "serial", serial.running_time,
+    std::printf("%-22d%12.2f%12.3f%10s\n", 1, serial.running_time,
                 serial.shard_round_time_max_over_mean, "-");
-    std::printf("%-22s%12.2f%12.3f%10.2f\n",
-                conc_mode ? "concurrent" : "serial (env off)",
-                conc.running_time, conc.shard_round_time_max_over_mean,
-                speedup);
+    std::printf("%-22d%12.2f%12.3f%10.2f\n", threads, m.running_time,
+                m.shard_round_time_max_over_mean, speedup);
   }
 
   std::printf(
-      "\nThe shards=1 row must reproduce the legacy engine bitwise — the\n"
-      "partition degenerates to one zone and the coordinator replays the\n"
-      "exact single-region round. At 2/4 shards each zone dispatches its\n"
-      "own requests over its resident fleet (against its own travel-cost\n"
-      "cache partition); boundary requests re-home through the escrow (the\n"
-      "x-shard column counts trips assigned by a foreign shard), the census\n"
-      "must balance exactly, and the concurrent batch phase must agree\n"
-      "bitwise with the serial shard-id-order reference.\n");
+      "\nAt 1 shard the partition degenerates to one zone and the\n"
+      "coordinator runs the single-region round. At 2/4 shards each zone\n"
+      "dispatches its own requests over its resident fleet (against its\n"
+      "own travel-cost cache partition); boundary requests re-home through\n"
+      "the escrow (the x-shard column counts trips assigned by a foreign\n"
+      "shard), the census must balance exactly, and the concurrent batch\n"
+      "phase must agree bitwise with the 1-thread run.\n");
   if (failures > 0) {
     std::fprintf(stderr, "FAIL: %d sharding gate(s) violated\n", failures);
     return 1;

@@ -12,9 +12,9 @@ directories by (bench, dataset, series, point) and checked two ways:
     total_requests / sp_queries / unified_cost / service_rate /
     late_dropoffs, plus the per-shard sp_queries vector) must be *exactly*
     equal: these are deterministic outcomes, and any drift means the two
-    builds computed different dispatches. This is how CI pins
-    concurrent_shards=on against the STRUCTRIDE_CONC_SHARDS=0 serial
-    reference across two bench invocations.
+    builds computed different dispatches. This is how CI pins the concurrent
+    shard batch phase (STRUCTRIDE_THREADS=8) against the serial one
+    (STRUCTRIDE_THREADS=1) across two bench invocations.
   * running_time_s may regress by at most --max-regress-pct percent
     (default 10) on rows slower than --min-time seconds (default 0.05 —
     timing noise dominates below that).
@@ -22,7 +22,7 @@ directories by (bench, dataset, series, point) and checked two ways:
 Optionally --min-speedup R requires candidate rows matching
 --speedup-filter to be at least R times faster than the same baseline row
 (the CI serial-vs-concurrent shard cell: baseline dir ran with
-STRUCTRIDE_CONC_SHARDS=0). The filter failing to match any row is itself a
+STRUCTRIDE_THREADS=1). The filter failing to match any row is itself a
 failure, so a renamed bench point cannot silently skip the gate.
 
 --config FILE supplies per-cell overrides as JSON, so one invocation can

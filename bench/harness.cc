@@ -252,18 +252,6 @@ int BenchShards() {
   return static_cast<int>(z);
 }
 
-bool BenchConcurrentShards() {
-  const char* env = std::getenv("STRUCTRIDE_CONC_SHARDS");
-  if (env == nullptr) return true;
-  if (std::strcmp(env, "0") == 0) return false;
-  if (std::strcmp(env, "1") == 0) return true;
-  std::fprintf(stderr,
-               "[bench] ignoring STRUCTRIDE_CONC_SHARDS=\"%s\" (want 0 or "
-               "1); using the default 1\n",
-               env);
-  return true;
-}
-
 int BenchThreads() {
   const char* env = std::getenv("STRUCTRIDE_THREADS");
   if (env == nullptr) return 4;
@@ -403,7 +391,6 @@ RunMetrics BenchContext::Run(const std::string& algorithm,
   config.ilp_node_cap = 200'000;
   config.num_threads = BenchThreads();
   config.num_shards = BenchShards();
-  config.concurrent_shards = BenchConcurrentShards();
 
   return sim.Run(algorithm, config);
 }

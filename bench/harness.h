@@ -71,16 +71,11 @@ double BenchScale();
 /// so any figure/table bench replays geo-sharded without a rebuild.
 int BenchShards();
 
-/// \brief Env-var concurrent-shard switch (STRUCTRIDE_CONC_SHARDS, default
-/// 1): every BenchContext::Run dispatches with
-/// DispatchConfig::concurrent_shards set to this, so serial-vs-concurrent
-/// shard execution can be compared across two bench invocations (the CI
-/// compare_bench.py cell) without a rebuild. 0 = serial reference.
-bool BenchConcurrentShards();
-
 /// \brief Env-var worker-thread count (STRUCTRIDE_THREADS, default 4):
 /// every BenchContext::Run dispatches with DispatchConfig::num_threads set
-/// to this, so the sweep generator can grid over thread counts.
+/// to this, so the sweep generator can grid over thread counts. 1 runs a
+/// multi-shard round's batches one after another — the serial reference
+/// for concurrent shard execution.
 int BenchThreads();
 
 /// \brief Env-var service-mode arrival rate (STRUCTRIDE_QPS, default 0):

@@ -6,13 +6,12 @@
 #   STRUCTRIDE_SCALE      sweep scale (default 0.05)
 #   STRUCTRIDE_ALGOS      algorithm filter passthrough
 #   STRUCTRIDE_BENCH_SET  all | sweep | micro (default all)
-#   STRUCTRIDE_SHARDS     geo-shard count for the sweep benches (default 1;
-#                         note abl_scenarios' legacy-parity baseline only
-#                         holds at 1 shard — see DESIGN.md §12)
+#   STRUCTRIDE_SHARDS     geo-shard count for the sweep benches (default 1)
+#   STRUCTRIDE_THREADS    worker threads for the sweep benches (default 4;
+#                         1 runs multi-shard rounds serially — the reference
+#                         side of a compare gate)
 #   STRUCTRIDE_JSON_DIR   where BENCH_<name>.json results land
 #                         (default <build-dir>/bench_json)
-#   STRUCTRIDE_CONC_SHARDS  0 forces the serial shard loop in every bench
-#                         (the differential reference for the compare gate)
 #   STRUCTRIDE_COMPARE_DIR  baseline BENCH json dir: after the sweep,
 #                         bench/compare_bench.py diffs it against
 #                         STRUCTRIDE_JSON_DIR and fails the run on parity
@@ -58,7 +57,7 @@ fig8_vary_vehicles fig9_vary_requests fig10_vary_deadline
 fig11_vary_capacity fig12_vary_penalty fig13_vary_batch fig14_memory
 fig15_cainiao fig16_capacity_sigma fig17_vary_sigma
 table5_angle_pruning_cainiao table6_angle_pruning
-abl_cancellations abl_incremental_sharegraph abl_parallel_scaling
+abl_cancellations abl_parallel_scaling
 abl_scenarios abl_proposal_order abl_sharding
 abl_angle_expectation abl_insertion_order abl_structure_metrics
 abl_graph_import

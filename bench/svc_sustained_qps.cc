@@ -102,7 +102,6 @@ int main() {
         config.sharegraph.vehicle_capacity = spec.capacity;
         config.num_threads = BenchThreads();
         config.num_shards = shards;
-        config.concurrent_shards = BenchConcurrentShards();
 
         auto probe = [&](double qps) {
           SimulationOptions sopts;

@@ -9,7 +9,7 @@
 //    tolerant batched insertion that holds a request back while its slack
 //    allows a cheaper shared match (DESIGN.md §4).
 //
-// Each baseline keeps a persistent scanner whose planes refill in place,
+// Each baseline keeps a persistent fleet index whose planes refill in place,
 // answers candidate queries into thread-scratch buffers, and materializes
 // only the winning schedule, staged in the scratch arena (splicing issues
 // no engine queries, so deferring it past the scan changes nothing): zero
@@ -18,8 +18,8 @@
 
 #include <limits>
 
-#include "dispatch/common.h"
 #include "dispatch/dispatcher.h"
+#include "dispatch/spatial_index.h"
 
 namespace structride {
 namespace {
@@ -31,9 +31,10 @@ class PruneGdpDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
+    RequireContext(*ctx);
     if (ctx->pending.empty()) return;  // drain phase: don't build the index
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network(), config_.use_spatial_index);
+    index_.Rebuild(fleet, ctx->engine->network());
     ArenaScope batch_scope(ScratchArena());
     size_t* nearest = batch_scope.AllocateArray<size_t>(fleet.size());
     for (const Request* r : ctx->pending) {
@@ -45,7 +46,7 @@ class PruneGdpDispatcher : public Dispatcher {
       // positions are fixed within a batch, so the radius query visits
       // exactly the prefix the sorted full-fleet scan used to.
       double reach = r->latest_pickup - ctx->now;
-      const size_t num_near = scanner_.NearestWithinInto(
+      const size_t num_near = index_.KNearestWithinInto(
           r->source, fleet.size(), reach, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
@@ -72,12 +73,12 @@ class PruneGdpDispatcher : public Dispatcher {
         ctx->rejected.push_back(r->id);  // online: no second chance
       }
     }
-    NotePeak(fleet.size() * sizeof(double) + scanner_.MemoryBytes() +
+    NotePeak(fleet.size() * sizeof(double) + index_.MemoryBytes() +
              ctx->pending.size() * sizeof(Request*));
   }
 
  private:
-  dispatch::CandidateScanner scanner_;
+  dispatch::FleetSpatialIndex index_;
 };
 
 class TicketAssignDispatcher : public Dispatcher {
@@ -85,14 +86,15 @@ class TicketAssignDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
+    RequireContext(*ctx);
     if (ctx->pending.empty()) return;  // drain phase: don't build the index
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network(), config_.use_spatial_index);
+    index_.Rebuild(fleet, ctx->engine->network());
     for (const Request* r : ctx->pending) {
       bool placed = false;
       size_t nearest[kScanLimit];
       const size_t num_near =
-          scanner_.NearestInto(r->source, kScanLimit, nearest);
+          index_.KNearestInto(r->source, kScanLimit, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
         InsertionCandidate cand = BestInsertion(
@@ -110,14 +112,14 @@ class TicketAssignDispatcher : public Dispatcher {
       }
       if (!placed) ctx->rejected.push_back(r->id);
     }
-    NotePeak(kScanLimit * sizeof(size_t) + scanner_.MemoryBytes() +
+    NotePeak(kScanLimit * sizeof(size_t) + index_.MemoryBytes() +
              ctx->pending.size() * sizeof(Request*));
   }
 
  private:
   static constexpr size_t kScanLimit = 16;
 
-  dispatch::CandidateScanner scanner_;
+  dispatch::FleetSpatialIndex index_;
 };
 
 class DarmDprsDispatcher : public Dispatcher {
@@ -125,16 +127,17 @@ class DarmDprsDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
+    RequireContext(*ctx);
     if (ctx->pending.empty()) return;  // drain phase: don't build the index
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network(), config_.use_spatial_index);
+    index_.Rebuild(fleet, ctx->engine->network());
     for (const Request* r : ctx->pending) {
       double best = kInf;
       size_t best_vehicle = 0;
       InsertionCandidate best_cand;
       size_t nearest[kScanLimit];
       const size_t num_near =
-          scanner_.NearestInto(r->source, kScanLimit, nearest);
+          index_.KNearestInto(r->source, kScanLimit, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
         InsertionCandidate cand = BestInsertion(
@@ -159,7 +162,7 @@ class DarmDprsDispatcher : public Dispatcher {
       }
     }
     NotePeak(ctx->pending.size() * (sizeof(Request*) + sizeof(double)) +
-             scanner_.MemoryBytes() + kScanLimit * sizeof(size_t));
+             index_.MemoryBytes() + kScanLimit * sizeof(size_t));
   }
 
  private:
@@ -169,7 +172,7 @@ class DarmDprsDispatcher : public Dispatcher {
   static constexpr double kCheapRatio = 0.6;  // delta <= 60% of direct cost
   static constexpr double kUrgentSlack = 60;  // seconds of pickup slack
 
-  dispatch::CandidateScanner scanner_;
+  dispatch::FleetSpatialIndex index_;
 };
 
 }  // namespace

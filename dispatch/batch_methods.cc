@@ -1,9 +1,8 @@
 // The batch comparison methods.
 //
 //  - GAS: shareability graph over the open pool (the run's incrementally
-//    maintained graph when the engine provides one, rebuilt per batch on
-//    the frozen reference path), best-of-all-parents group enumeration per
-//    vehicle, then a cost-per-rider greedy assignment.
+//    maintained graph), best-of-all-parents group enumeration per vehicle,
+//    then a cost-per-rider greedy assignment.
 //  - RTV: the request-trip-vehicle pipeline — the same enumeration but
 //    exhaustive up to the ILP node cap, with every trip materialized (the
 //    memory hog of Fig. 14) and an anytime assignment: penalty-folded
@@ -17,9 +16,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
-#include "dispatch/common.h"
 #include "dispatch/dispatcher.h"
 
 namespace structride {
@@ -32,67 +29,24 @@ struct TripCandidate {
   CandidateGroup group;
 };
 
-// Shared base of the two graph-consuming batch methods: picks the round's
-// share graph, keeps the pair-check books, and owns the persistent batch
-// state (grouping scratch, fallback arena and SoA views).
+// Shared base of the two graph-consuming batch methods: syncs the round's
+// share graph, keeps the pair-check books, and owns the persistent grouping
+// scratch.
 class GraphBatchDispatcher : public Dispatcher {
  protected:
   using Dispatcher::Dispatcher;
 
-  // The share graph for one round: the engine-maintained incremental
-  // builder when the run provides one (closed requests already retired by
-  // lifecycle events; only the fresh slice is folded in here), else
-  // \p local after a from-scratch rebuild over the whole pool — the frozen
-  // reference path behind DispatchConfig::incremental_sharegraph
-  // (DESIGN.md §7). Both paths yield the identical graph over the open
-  // set; the incremental one just skips re-checking every pair that
-  // already ran in an earlier round. Accounting follows the builder's
-  // lifetime: a persistent builder's running total is adopted, a per-batch
-  // throwaway's is accumulated. The throwaway is only constructed on the
-  // from-scratch path (its rebuild allocates by design); the request copies
-  // it folds in are staged in the batch arena.
-  ShareGraphBuilder* RoundShareGraph(DispatchContext* ctx,
-                                     std::optional<ShareGraphBuilder>* local,
-                                     EpochArena* arena) {
-    if (ctx->sharegraph != nullptr) {
-      ctx->sharegraph->SyncToPending(ctx->pending);
-      SetPairChecks(ctx->sharegraph->pair_checks());
-      return ctx->sharegraph;
-    }
-    local->emplace(ctx->engine, config_.sharegraph);
-    const size_t n = ctx->pending.size();
-    Request* copy = arena->AllocateArray<Request>(n);
-    for (size_t i = 0; i < n; ++i) copy[i] = *ctx->pending[i];
-    (*local)->AddRequests(Span<const Request>(copy, n));
-    AddPairChecks((*local)->pair_checks());
-    return &**local;
+  // The run's share graph for one round: closed requests were already
+  // retired by lifecycle events, so only the fresh slice is folded in
+  // (DESIGN.md §7).
+  ShareGraphBuilder* RoundShareGraph(DispatchContext* ctx) {
+    ctx->sharegraph->SyncToPending(ctx->pending);
+    SetPairChecks(ctx->sharegraph->pair_checks());
+    return ctx->sharegraph;
   }
 
-  EpochArena* BatchArena(DispatchContext* ctx) {
-    if (ctx->arena != nullptr) return ctx->arena;
-    own_arena_.Reset();
-    return &own_arena_;
-  }
-  const RequestSoA* PendingView(DispatchContext* ctx) {
-    if (ctx->pending_soa != nullptr) return ctx->pending_soa;
-    pending_soa_.Refresh({ctx->pending.data(), ctx->pending.size()});
-    return &pending_soa_;
-  }
-  const FleetSoA* FleetPlanes(DispatchContext* ctx) {
-    if (ctx->fleet_soa != nullptr) return ctx->fleet_soa;
-    fleet_soa_.Refresh(ctx->fleet);
-    return &fleet_soa_;
-  }
-
-  /// Persistent batch state: the enumeration scratch's pool and vectors
-  /// stay warm across batches, as do the fallback planes/arena for
-  /// callers that provide none.
+  /// The enumeration scratch's pool and vectors stay warm across batches.
   GroupingScratch scratch_;
-
- private:
-  EpochArena own_arena_;
-  RequestSoA pending_soa_;
-  FleetSoA fleet_soa_;
 };
 
 class GasDispatcher : public GraphBatchDispatcher {
@@ -100,15 +54,15 @@ class GasDispatcher : public GraphBatchDispatcher {
   using GraphBatchDispatcher::GraphBatchDispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
+    RequireContext(*ctx);
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
-    EpochArena* arena = BatchArena(ctx);
-    const RequestSoA* soa = PendingView(ctx);
-    const FleetSoA* fsoa = FleetPlanes(ctx);
+    EpochArena* arena = ctx->arena;
+    const RequestSoA* soa = ctx->pending_soa;
+    const FleetSoA* fsoa = ctx->fleet_soa;
     const size_t num_pending = ctx->pending.size();
 
-    std::optional<ShareGraphBuilder> local;
-    ShareGraphBuilder* builder = RoundShareGraph(ctx, &local, arena);
+    ShareGraphBuilder* builder = RoundShareGraph(ctx);
 
     GroupingOptions gopts = config_.grouping;
     gopts.insertion_order = InsertionOrderPolicy::kBestOfAllParents;
@@ -197,16 +151,16 @@ class RtvDispatcher : public GraphBatchDispatcher {
   using GraphBatchDispatcher::GraphBatchDispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
+    RequireContext(*ctx);
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
-    EpochArena* arena = BatchArena(ctx);
-    const RequestSoA* soa = PendingView(ctx);
-    const FleetSoA* fsoa = FleetPlanes(ctx);
+    EpochArena* arena = ctx->arena;
+    const RequestSoA* soa = ctx->pending_soa;
+    const FleetSoA* fsoa = ctx->fleet_soa;
     const size_t num_pending = ctx->pending.size();
 
     // RR edges (the shareability graph) and per-vehicle trip enumeration.
-    std::optional<ShareGraphBuilder> local;
-    ShareGraphBuilder* builder = RoundShareGraph(ctx, &local, arena);
+    ShareGraphBuilder* builder = RoundShareGraph(ctx);
 
     GroupingOptions gopts = config_.grouping;
     gopts.insertion_order = InsertionOrderPolicy::kBestOfAllParents;

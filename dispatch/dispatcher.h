@@ -40,38 +40,18 @@ struct DispatchConfig {
   /// pending — otherwise the clique partition re-forms the identical group
   /// next batch and its members starve until they expire (DESIGN.md §4).
   bool sard_split_rejected_groups = true;
-  /// Answer nearest-candidate scans from a per-batch grid-bucket fleet index
-  /// instead of a full O(F log F) distance sort per scan. Outcome-identical
-  /// by construction; `false` restores the legacy scan (the serial baseline
-  /// `abl_parallel_scaling` measures against).
-  bool use_spatial_index = true;
-  /// Maintain one share graph per run, incrementally: the engine owns a
-  /// ShareGraphBuilder, retires requests at assignment / cancellation /
-  /// expiry events, and hands it to every round via
-  /// DispatchContext::sharegraph; GAS, RTV and SARD fold only the fresh
-  /// slice in. `false` restores the frozen reference path — GAS/RTV rebuild
-  /// the graph from scratch over the whole pending pool each batch, SARD
-  /// keeps a private persistent builder — which the incremental path must
-  /// match on served / unified_cost / sp_queries and the graph edge set
-  /// (DESIGN.md §7; pinned by tests and abl_incremental_sharegraph).
-  bool incremental_sharegraph = true;
   /// Geo-sharding (DESIGN.md §12): partition the metro into this many zones
   /// and run one ShardRuntime (dispatcher + share graph + SoA planes + arena)
   /// per zone, with cross-shard trips handled by the boundary escrow and
   /// vehicle-migration events. 1 = single-region, bitwise identical to the
-  /// pre-sharding engine.
+  /// pre-sharding engine. With more than one shard and num_threads > 1 the
+  /// shards' batch phases run concurrently on the worker pool; every shard
+  /// buffers its outputs and the engine commits them in shard-id order, so
+  /// the result is bitwise identical to num_threads = 1, which runs the
+  /// batches one after another.
   int num_shards = 1;
   /// Partition grid columns override; 0 picks ceil(sqrt(num_shards)).
   int shard_grid_cols = 0;
-  /// Run the N-shard round's per-shard batches concurrently on the shared
-  /// worker pool (DESIGN.md §12). Every shard writes only shard-local state
-  /// plus its private output buffers during the batch; the engine commits
-  /// the buffers serially in shard-id order afterwards, so results are
-  /// bitwise identical to `false`, which runs the same buffer-then-commit
-  /// protocol with the batch phase serialized in shard-id order (the
-  /// differential reference). No effect at num_shards == 1 or num_threads
-  /// == 1.
-  bool concurrent_shards = true;
   /// Per-shard travel-cost cache partition sizing under geo-sharding: total
   /// cached pairs per partition (0 = the root engine's capacity divided by
   /// num_shards). Each shard queries only its own partition, so concurrent
@@ -103,7 +83,8 @@ struct DispatchContext {
   FleetView fleet;
   /// Worker pool owned by the caller (the simulation engine keeps one per
   /// run); dispatchers that parallelize use it instead of spawning threads
-  /// per batch. Null means no pool — dispatchers fall back to a private one.
+  /// per batch. Required by SARD when sard_parallel_acceptance is on with
+  /// num_threads > 1; null otherwise.
   ThreadPool* pool = nullptr;
   /// Open requests in release order.
   std::vector<const Request*> pending;
@@ -116,24 +97,21 @@ struct DispatchContext {
   /// event (the scenario-enabled online dispatch mode) rather than a batch
   /// tick. Batch methods may treat per-event rounds like tiny batches.
   bool online_event = false;
+  // The members below are required: every OnBatch SR_CHECKs them. The
+  // simulation engine supplies one set per shard; a hand-built context
+  // must do the same.
   /// The run-scoped, incrementally maintained share-graph builder
-  /// (DESIGN.md §7), owned by the simulation engine when
-  /// DispatchConfig::incremental_sharegraph is on: closed requests have
-  /// already been retired by lifecycle events, so a dispatcher only syncs
-  /// the fresh slice in (ShareGraphBuilder::SyncToPending) and consumes the
-  /// graph. Null when the caller keeps no persistent graph (the frozen
-  /// legacy engine, hand-built contexts) — graph dispatchers then fall back
-  /// to their per-batch / private builders.
+  /// (DESIGN.md §7): closed requests have already been retired by lifecycle
+  /// events, so a dispatcher only syncs the fresh slice in
+  /// (ShareGraphBuilder::SyncToPending) and consumes the graph. Dispatchers
+  /// that build no share graph ignore it.
   ShareGraphBuilder* sharegraph = nullptr;
   /// Batch-scoped bump arena, owned by the caller and reset between rounds
   /// (after the dispatcher returns). Dispatchers stage proposals,
-  /// candidate schedules and scratch here. Null when the caller
-  /// keeps no arena (the frozen legacy engine, hand-built contexts) —
-  /// dispatchers then fall back to a private arena.
+  /// candidate schedules and scratch here.
   EpochArena* arena = nullptr;
   /// Structure-of-arrays views over the batch-start fleet and pending pool,
-  /// refreshed by the caller each round (DESIGN.md §8). Null when the
-  /// caller maintains no pools; dispatchers then refresh private planes.
+  /// refreshed by the caller each round (DESIGN.md §8).
   const FleetSoA* fleet_soa = nullptr;
   const RequestSoA* pending_soa = nullptr;
   /// Outputs: requests assigned this round; requests the dispatcher gives up
@@ -161,17 +139,21 @@ class Dispatcher {
 
   /// Exact share-graph pair feasibility evaluations this dispatcher has
   /// spent so far (0 for methods that build no share graph). The engine
-  /// surfaces it as RunMetrics::sharegraph_pair_checks; the incremental
-  /// maintenance bench gates its ≥2x reduction on it.
+  /// surfaces it as RunMetrics::sharegraph_pair_checks; DESIGN.md §7
+  /// tabulates what the run-scoped graph saves against rebuilding it every
+  /// batch.
   uint64_t SharePairChecks() const { return share_pair_checks_; }
 
  protected:
+  /// SR_CHECKs the context members every OnBatch requires (see
+  /// DispatchContext); each OnBatch calls it first, so a missing member
+  /// aborts with its name instead of a null dereference mid-batch.
+  static void RequireContext(const DispatchContext& ctx);
+
   void NotePeak(size_t bytes) {
     if (bytes > peak_memory_) peak_memory_ = bytes;
   }
-  /// Accumulate checks from a per-batch throwaway builder.
-  void AddPairChecks(uint64_t delta) { share_pair_checks_ += delta; }
-  /// Adopt the running total of a persistent (run-scoped) builder.
+  /// Adopt the running total of the run-scoped builder.
   void SetPairChecks(uint64_t total) { share_pair_checks_ = total; }
 
   DispatchConfig config_;

@@ -12,6 +12,14 @@ std::unique_ptr<Dispatcher> MakeGas(const DispatchConfig&);
 std::unique_ptr<Dispatcher> MakeRtv(const DispatchConfig&);
 std::unique_ptr<Dispatcher> MakeSard(const DispatchConfig&);
 
+void Dispatcher::RequireContext(const DispatchContext& ctx) {
+  SR_CHECK(ctx.engine != nullptr);
+  SR_CHECK(ctx.sharegraph != nullptr);
+  SR_CHECK(ctx.arena != nullptr);
+  SR_CHECK(ctx.fleet_soa != nullptr);
+  SR_CHECK(ctx.pending_soa != nullptr);
+}
+
 std::vector<std::string> AllDispatcherNames() {
   // The paper's six comparison methods, in its table order. SARD-O is SARD
   // with DispatchConfig::sharegraph.use_angle_pruning set.

@@ -17,43 +17,81 @@
 //
 // The batch stages the induced subgraph, clique partition, member order
 // and proposal slots as flat arrays in the batch arena, and prices groups
-// through InsertGroupSequentialPooled (thread-scratch ping-pong buffers),
+// through InsertGroupSequential (thread-scratch ping-pong buffers),
 // so a steady-state batch makes zero heap allocations once pools are warm
 // (DESIGN.md §8).
 
 #include <algorithm>
 
-#include "dispatch/common.h"
 #include "dispatch/dispatcher.h"
+#include "dispatch/spatial_index.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace structride {
 namespace {
+
+/// A group's linear insertion: the stop sequence lives in the arena passed
+/// to InsertGroupSequential, valid until that arena rewinds.
+struct GroupInsertion {
+  bool feasible = false;
+  double delta_cost = 0;
+  const Stop* stops = nullptr;
+  size_t len = 0;
+};
+
+/// Linear insertion of \p members, in the given order, into \p committed
+/// evaluated from \p state; infeasible if any member fails. Every
+/// intermediate stage is ping-ponged between two \p arena blocks instead of
+/// materialized as a Schedule.
+GroupInsertion InsertGroupSequential(const RouteState& state,
+                                     Span<const Stop> committed,
+                                     Span<const Request* const> members,
+                                     TravelCostEngine* engine,
+                                     EpochArena* arena) {
+  GroupInsertion out;
+  const size_t final_len = committed.size() + 2 * members.size();
+  Stop* bufs[2] = {arena->AllocateArray<Stop>(final_len),
+                   arena->AllocateArray<Stop>(final_len)};
+  Span<const Stop> cur = committed;
+  int which = 0;
+  double delta = 0;
+  for (const Request* r : members) {
+    InsertionCandidate cand = BestInsertion(state, cur, *r, engine);
+    if (!cand.feasible) return out;
+    size_t len = ApplyInsertionInto(cur, *r, cand, bufs[which]);
+    cur = {bufs[which], len};
+    which ^= 1;
+    delta += cand.delta_cost;
+  }
+  out.feasible = true;
+  out.delta_cost = delta;
+  out.stops = cur.data();
+  out.len = cur.size();
+  return out;
+}
 
 class SardDispatcher : public Dispatcher {
  public:
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
+    RequireContext(*ctx);
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
 
+    // The run's share graph has already retired every closed request
+    // (lifecycle events); fold the fresh slice in so it tracks the open set
+    // (DESIGN.md §7).
     ThreadPool* pool = WorkerPool(ctx);
-    ShareGraphBuilder* builder = SyncedBuilder(ctx, pool);
+    ShareGraphBuilder* builder = ctx->sharegraph;
+    builder->set_pool(pool);
+    builder->SyncToPending(ctx->pending);
+    SetPairChecks(builder->pair_checks());
 
-    // SoA view of the pending pool (id -> pool-index without a hash map)
-    // and the batch arena — the caller's when provided, else the private
-    // fallbacks, so hand-built contexts work unchanged.
+    // SoA view of the pending pool (id -> pool-index without a hash map).
     const RequestSoA* soa = ctx->pending_soa;
-    if (soa == nullptr) {
-      pending_soa_.Refresh({ctx->pending.data(), ctx->pending.size()});
-      soa = &pending_soa_;
-    }
     EpochArena* arena = ctx->arena;
-    if (arena == nullptr) {
-      own_arena_.Reset();
-      arena = &own_arena_;
-    }
     const size_t num_pending = ctx->pending.size();
 
     // Induced share subgraph over the open requests as a CSR adjacency in
@@ -162,9 +200,9 @@ class SardDispatcher : public Dispatcher {
       member_reqs[m] = ctx->pending[members[m]];
     }
 
-    // One fleet index per batch; the persistent scanner refills its planes
-    // in place (steady-state rebuilds without heap allocation).
-    scanner_.Rebuild(fleet, ctx->engine->network(), config_.use_spatial_index);
+    // One fleet index per batch; the persistent index refills its planes in
+    // place (steady-state rebuilds without heap allocation).
+    index_.Rebuild(fleet, ctx->engine->network());
 
     // Proposal pricing (phase A; pure, parallelizable): workers fill
     // disjoint fixed-size proposal slots in the batch arena.
@@ -197,15 +235,14 @@ class SardDispatcher : public Dispatcher {
       proposal_bytes += prop_count[gi] * sizeof(Proposal);
     }
     // Size-based (not capacity-based) accounting, so the figure is
-    // deterministic and identical across caller-provided vs fallback
-    // arenas; arena retention is reported separately as
+    // deterministic; arena retention is reported separately as
     // RunMetrics::arena_peak_bytes.
     const size_t graph_bytes = (2 * num_pending + 1 + num_adj) * sizeof(size_t);
     const size_t group_bytes =
         num_members * (sizeof(size_t) + sizeof(const Request*)) +
         num_groups * 2 * sizeof(size_t);
     NotePeak(builder->MemoryBytes() + graph_bytes + proposal_bytes +
-             scanner_.MemoryBytes() + group_bytes);
+             index_.MemoryBytes() + group_bytes);
   }
 
  private:
@@ -229,27 +266,6 @@ class SardDispatcher : public Dispatcher {
     uint32_t* prop_count;
   };
 
-  ShareGraphBuilder* SyncedBuilder(DispatchContext* ctx, ThreadPool* pool) {
-    // The run's engine-maintained builder when provided (closed requests
-    // already retired by lifecycle events), else the private persistent
-    // builder — both paths then do the same delta sync: drop anything no
-    // longer pending, fold the fresh slice in, so the graph tracks the
-    // open set (DESIGN.md §7).
-    ShareGraphBuilder* builder = ctx->sharegraph;
-    if (builder == nullptr) {
-      if (!builder_) {
-        builder_ = std::make_unique<ShareGraphBuilder>(ctx->engine,
-                                                       config_.sharegraph);
-        builder_->set_memoize_pairs(true);  // persistent across batches
-      }
-      builder = builder_.get();
-    }
-    builder->set_pool(pool);
-    builder->SyncToPending(ctx->pending);
-    SetPairChecks(builder->pair_checks());
-    return builder;
-  }
-
   /// Prices \p mem against its nearby vehicles into \p out (room for
   /// kCandidateVehicles), returning the count; (delta, vehicle)-sorted per
   /// the proposal policy. Pure read of the current fleet state; scratch
@@ -262,7 +278,7 @@ class SardDispatcher : public Dispatcher {
     NodeId anchor = mem[0]->source;
     size_t nearest[kCandidateVehicles];
     const size_t num_near =
-        scanner_.NearestInto(anchor, kCandidateVehicles, nearest);
+        index_.KNearestInto(anchor, kCandidateVehicles, nearest);
     // Batched warm-up of the first insertion leg: an *idle* candidate's
     // pricing provably starts with Cost(vehicle node, anchor) — the first
     // member goes to position 0 of an empty schedule, that position's
@@ -286,10 +302,9 @@ class SardDispatcher : public Dispatcher {
     for (size_t ni = 0; ni < num_near; ++ni) {
       const size_t vi = nearest[ni];
       ArenaScope scope(ScratchArena());
-      dispatch::PooledGroupInsertion ins =
-          dispatch::InsertGroupSequentialPooled(
-              fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(),
-              mem, ctx->engine, scope.arena());
+      GroupInsertion ins = InsertGroupSequential(
+          fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(), mem,
+          ctx->engine, scope.arena());
       if (ins.feasible) {
         out[count].delta = ins.delta_cost;
         out[count].vehicle = vi;
@@ -324,10 +339,9 @@ class SardDispatcher : public Dispatcher {
     for (size_t pi = 0; pi < num_priced; ++pi) {
       Vehicle& v = fleet[priced[pi].vehicle];
       ArenaScope commit_scope(ScratchArena());
-      dispatch::PooledGroupInsertion ins =
-          dispatch::InsertGroupSequentialPooled(
-              v.route_state(ctx->now), v.schedule().stops(), mem, ctx->engine,
-              commit_scope.arena());
+      GroupInsertion ins =
+          InsertGroupSequential(v.route_state(ctx->now), v.schedule().stops(),
+                                mem, ctx->engine, commit_scope.arena());
       if (!ins.feasible) continue;
       if (!v.CommitStops({ins.stops, ins.len}, ctx->now, ctx->engine)) {
         continue;
@@ -345,28 +359,17 @@ class SardDispatcher : public Dispatcher {
                  nullptr, 0);
   }
 
-  // The caller's per-run pool when provided; otherwise a private pool built
-  // once and reused for every batch (never fresh threads per batch).
-  ThreadPool* WorkerPool(DispatchContext* ctx) {
-    int threads = config_.sard_parallel_acceptance
-                      ? std::max(1, config_.num_threads)
-                      : 1;
-    if (threads <= 1) return nullptr;
-    if (ctx->pool) return ctx->pool;
-    if (!own_pool_) own_pool_ = std::make_unique<ThreadPool>(threads);
-    return own_pool_.get();
+  // The caller's per-run pool when acceptance runs on more than one thread.
+  ThreadPool* WorkerPool(DispatchContext* ctx) const {
+    if (!config_.sard_parallel_acceptance || config_.num_threads <= 1) {
+      return nullptr;
+    }
+    SR_CHECK(ctx->pool != nullptr);
+    return ctx->pool;
   }
 
-  /// Fallback when the caller keeps no run-scoped builder (the frozen
-  /// legacy engine, hand-built contexts): SARD stays persistent either way.
-  std::unique_ptr<ShareGraphBuilder> builder_;
-  std::unique_ptr<ThreadPool> own_pool_;
-  /// Persistent batch state: the per-batch fleet index (planes refilled in
-  /// place), the fallback pending-pool SoA view and the fallback batch
-  /// arena for callers that provide none.
-  dispatch::CandidateScanner scanner_;
-  RequestSoA pending_soa_;
-  EpochArena own_arena_;
+  /// The per-batch fleet index; its planes are refilled in place.
+  dispatch::FleetSpatialIndex index_;
 };
 
 }  // namespace

@@ -1,15 +1,15 @@
 // Grid-bucket spatial index over the fleet's current positions. Dispatchers
 // rebuild it once per batch (vehicle positions only change between batches;
 // committing a schedule does not move a vehicle) and answer every
-// nearest-candidate scan from it, replacing the O(F log F) full-fleet
-// distance sort that used to run once per group per batch.
+// nearest-candidate scan from it instead of sorting the whole fleet by
+// distance once per group per batch.
 //
 // Exactness contract: KNearest(from, k) returns exactly the first k entries
-// of dispatch::VehiclesByDistance(fleet, net, from) — straight-line distance
-// ascending, vehicle index ascending on ties — so swapping the index in
-// changes running time, never dispatch outcomes. Both sides of the contract
-// omit vehicles that are out of service (scenario downtime takes them off
-// the candidate market; they still finish their committed stops).
+// of the in-service fleet sorted by straight-line distance from `from`,
+// vehicle index ascending on ties — the full O(F log F) sort, which
+// tests/dispatch_test.cc keeps as the oracle. Vehicles out of service are
+// omitted (scenario downtime takes them off the candidate market; they
+// still finish their committed stops).
 //
 // Storage is CSR (one offsets plane, one flat item plane) rather than a
 // vector-of-vectors, and Rebuild() refills the planes in place — a

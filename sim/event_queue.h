@@ -1,25 +1,26 @@
 // The continuous-time event substrate of the simulation core: typed events
 // ordered by a binary heap. The type ordering at equal timestamps is load-
-// bearing — it encodes the legacy fixed-batch engine's inclusive/exclusive
-// comparisons exactly, which is what makes the event engine's no-scenario
-// replay bitwise identical to the frozen batch loop (DESIGN.md §6):
+// bearing — it is the whole definition of which same-time events a batch
+// round sees (DESIGN.md §6), and the golden digests pin its outcomes:
 //
 //   scenario events            fire FIRST at their timestamp, so a state
 //       change at time T (dispatch-mode switch, downtime) already covers
-//       releases and ticks at exactly T. Irrelevant to the equivalence
-//       guarantee: with no scenarios installed none exist.
-//   release / stop completion  fire BEFORE a same-time batch tick
-//       (legacy: `release_time <= now` and `arrival <= now` are inclusive)
+//       releases and ticks at exactly T. With no scenarios installed none
+//       exist.
+//   release / stop completion  fire BEFORE a same-time batch tick: a
+//       request released at T, or a stop reached at T, is in the round at T.
 //   vehicle migration          fires AFTER same-time stop completions (the
 //       completion that moved the vehicle across a zone edge has already
 //       fired) and BEFORE a same-time batch tick, so a migrating vehicle is
 //       resident in its new shard for any dispatch round at the same
 //       timestamp (geo-sharding, DESIGN.md §12). Single-region runs push
-//       none, keeping the bitwise guarantee untouched.
-//   cancellation / expiry      fire AFTER a same-time batch tick
-//       (legacy: `cancel_time < now` and `now > latest_pickup` are strict),
-//       with cancellation ahead of expiry so a rider whose cancellation and
-//       deadline coincide counts as cancelled (ClassifyRider's tie rule).
+//       none.
+//   cancellation / expiry      fire AFTER a same-time batch tick: a rider
+//       whose patience or pickup deadline ends at T is still offered to the
+//       round at T. Cancellation orders ahead of expiry, so when a rider
+//       both cancelled and passed the pickup deadline, whichever happened
+//       first decides, and a cancellation at exactly the deadline counts as
+//       cancelled (the rider left; the deadline merely also passed).
 //
 // Ties within one (time, type) bucket pop in push order (FIFO), so request
 // releases with equal timestamps keep their release-sorted order.

@@ -2,8 +2,8 @@
 // (DESIGN.md §6). A Scenario perturbs one run — reshaping the workload at
 // install time and/or scheduling events that mutate the world mid-run —
 // through the narrow ScenarioHost surface the engine exposes. With no
-// scenarios installed the engine is bitwise identical to the frozen
-// fixed-batch loop, so every scenario is a pure delta on a pinned baseline.
+// scenarios installed the engine's outcomes are pinned by the golden
+// digests, so every scenario is a pure delta on a pinned baseline.
 //
 // A RepositioningPolicy is the second hook: after every dispatch round it
 // may send idle vehicles on empty relocation legs toward demand. Off by

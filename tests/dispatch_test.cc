@@ -2,14 +2,17 @@
 // registered dispatcher completes, reports sane metrics, reproduces
 // deterministically, and SARD's two knobs (angle pruning, parallel
 // acceptance) change only cost/queries — never the assignment outcome.
+// Plus the spatial index against the full-fleet sort it replaced, and the
+// DispatchContext contract.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
+#include <vector>
 
-#include "dispatch/common.h"
+#include "batch_context.h"
 #include "dispatch/spatial_index.h"
 #include "roadnet/generator.h"
 #include "sim/datasets.h"
@@ -19,6 +22,25 @@
 
 namespace structride {
 namespace {
+
+// The full-fleet nearest-candidate scan the spatial index replaced, kept as
+// its oracle: in-service fleet indices sorted by straight-line distance
+// from \p from, ties by vehicle index; O(F log F) per call.
+std::vector<size_t> VehiclesByDistance(const std::vector<Vehicle>& fleet,
+                                       const RoadNetwork& net, NodeId from) {
+  std::vector<size_t> order;
+  std::vector<double> dist(fleet.size());
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    if (!fleet[i].in_service()) continue;  // scenario downtime: no new work
+    order.push_back(i);
+    dist[i] = net.EuclidLowerBound(fleet[i].node(), from);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (dist[a] != dist[b]) return dist[a] < dist[b];
+    return a < b;
+  });
+  return order;
+}
 
 struct TinyChd {
   TinyChd() : spec(DatasetByName("CHD", 0.02)) {
@@ -134,27 +156,6 @@ TEST(DispatchTest, ParallelMetricsAreBitwiseEqualAcrossThreadCounts) {
   EXPECT_EQ(m1.sp_queries, m8.sp_queries);
 }
 
-// The spatial index must be a pure running-time change: legacy full-sort
-// scans and grid-index scans yield identical dispatch outcomes and backend
-// query counts (cold caches via fresh fixtures).
-TEST(DispatchTest, SpatialIndexPreservesOutcomeAndQueries) {
-  for (const std::string& name :
-       {std::string("SARD"), std::string("pruneGDP"),
-        std::string("TicketAssign+"), std::string("DARM+DPRS")}) {
-    TinyChd legacy, indexed;
-    SCOPED_TRACE(name);
-    DispatchConfig cl = legacy.Config();
-    cl.use_spatial_index = false;
-    DispatchConfig ci = indexed.Config();
-    ci.use_spatial_index = true;
-    RunMetrics ml = legacy.Run(name, cl);
-    RunMetrics mi = indexed.Run(name, ci);
-    EXPECT_EQ(ml.served, mi.served);
-    EXPECT_EQ(ml.unified_cost, mi.unified_cost);
-    EXPECT_EQ(ml.sp_queries, mi.sp_queries);
-  }
-}
-
 // Exactness of the index itself: KNearest must reproduce the first k
 // entries of the full distance sort (ties broken by vehicle index), and the
 // radius query the early-breaking prefix. A third of the fleet is out of
@@ -178,7 +179,7 @@ TEST(DispatchTest, SpatialIndexMatchesFullFleetSort) {
   for (int trial = 0; trial < 30; ++trial) {
     NodeId from = static_cast<NodeId>(
         rng.UniformInt(0, static_cast<int64_t>(net.num_nodes()) - 1));
-    std::vector<size_t> full = dispatch::VehiclesByDistance(fleet, net, from);
+    std::vector<size_t> full = VehiclesByDistance(fleet, net, from);
     for (size_t k : {size_t{1}, size_t{5}, size_t{16}, fleet.size(),
                      fleet.size() + 10}) {
       std::vector<size_t> got = index.KNearest(from, k);
@@ -203,23 +204,6 @@ TEST(DispatchTest, SpatialIndexMatchesFullFleetSort) {
     }
   }
   EXPECT_TRUE(index.KNearestWithin(3, 16, -1.0).empty());
-}
-
-TEST(SimTest, ClassifyRiderPicksTheEarlierEvent) {
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  // Still open: neither event has happened by `now`.
-  EXPECT_EQ(ClassifyRider(5, 10, kNever), RiderOutcome::kOpen);
-  EXPECT_EQ(ClassifyRider(5, 10, 8), RiderOutcome::kOpen);
-  // Only one event inside the batch period.
-  EXPECT_EQ(ClassifyRider(11, 10, kNever), RiderOutcome::kExpired);
-  EXPECT_EQ(ClassifyRider(11, 20, 10), RiderOutcome::kCancelled);
-  // Both events passed in one period: the earlier one decides. The rider
-  // who walked away before the deadline cancelled (the seed engine counted
-  // this as expired because it checked expiry first).
-  EXPECT_EQ(ClassifyRider(50, 10, 5), RiderOutcome::kCancelled);
-  EXPECT_EQ(ClassifyRider(50, 10, 30), RiderOutcome::kExpired);
-  // Cancellation at exactly the deadline: the rider left.
-  EXPECT_EQ(ClassifyRider(50, 10, 10), RiderOutcome::kCancelled);
 }
 
 // A group every vehicle rejects must not starve: SARD retries its halves
@@ -262,13 +246,11 @@ TEST(DispatchTest, RejectedGroupSplitsDownToSingletons) {
     DispatchConfig c = config;
     c.sard_split_rejected_groups = split_fallback;
     std::unique_ptr<Dispatcher> dispatcher = MakeDispatcher("SARD", c);
-    DispatchContext ctx;
-    ctx.now = 1;
-    ctx.engine = &engine;
-    ctx.fleet = &fleet;
-    ctx.pending = {&r1, &r2};
-    dispatcher->OnBatch(&ctx);
-    return ctx.assigned.size();
+    BatchContext batch(&engine, &fleet, c);
+    batch.ctx.pending = {&r1, &r2};
+    DispatchContext* ctx = batch.Round(1);
+    dispatcher->OnBatch(ctx);
+    return ctx->assigned.size();
   };
 
   // Without the fallback the pair group is proposed, rejected by both
@@ -276,6 +258,25 @@ TEST(DispatchTest, RejectedGroupSplitsDownToSingletons) {
   EXPECT_EQ(run_batch(false), 0u);
   // With it, the group splits and both riders ride solo.
   EXPECT_EQ(run_batch(true), 2u);
+}
+
+// The engine-owned context members are required: a context missing one
+// aborts at OnBatch entry with the member's name, for every dispatcher,
+// instead of dereferencing null somewhere mid-batch.
+TEST(DispatchDeathTest, ContextWithoutArenaAbortsWithAMessage) {
+  TinyChd fixture;
+  std::vector<Vehicle> fleet;
+  fleet.emplace_back(0, fixture.requests[0].source, 4);
+  for (const std::string& name : ListDispatchers()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Dispatcher> dispatcher =
+        MakeDispatcher(name, fixture.Config());
+    BatchContext batch(fixture.engine.get(), &fleet, fixture.Config());
+    batch.ctx.pending = {&fixture.requests[0]};
+    DispatchContext* ctx = batch.Round(fixture.requests[0].release_time);
+    ctx->arena = nullptr;
+    EXPECT_DEATH(dispatcher->OnBatch(ctx), "CHECK failed: ctx.arena");
+  }
 }
 
 TEST(DispatchTest, CancellationFaultModelOnlyRemovesPendingRiders) {
@@ -340,7 +341,7 @@ TEST(DispatchTest, SpatialIndexHandlesDegenerateFleets) {
   }
   dispatch::FleetSpatialIndex idx_parked(parked, net);
   EXPECT_TRUE(idx_parked.KNearest(0, parked.size()).empty());
-  EXPECT_TRUE(dispatch::VehiclesByDistance(parked, net, 0).empty());
+  EXPECT_TRUE(VehiclesByDistance(parked, net, 0).empty());
   EXPECT_TRUE(idx_parked.KNearestWithin(0, parked.size(), 1e9).empty());
 
   // Whole fleet on one node (one grid cell, zero spatial extent): ties
@@ -354,7 +355,7 @@ TEST(DispatchTest, SpatialIndexHandlesDegenerateFleets) {
   EXPECT_EQ(idx_stacked.KNearest(3, 2),
             (std::vector<size_t>{0, 1}));  // filtered prefix
   EXPECT_EQ(idx_stacked.KNearestWithin(3, stacked.size(), 0.0), want);
-  EXPECT_EQ(dispatch::VehiclesByDistance(stacked, net, 3), want);
+  EXPECT_EQ(VehiclesByDistance(stacked, net, 3), want);
 }
 
 }  // namespace

@@ -1,13 +1,9 @@
-// The event-core contract (DESIGN.md §6):
-//  1. With no scenarios and no repositioning policy, the event-driven
-//     Run() reproduces the frozen fixed-batch RunLegacy() bitwise — across
-//     the three dataset presets, multiple seeds, 1 and 8 worker threads,
-//     and with the fault models (cancellation, capacity variance) active.
-//  2. Scenario runs are deterministic under a fixed seed.
-//  3. The repositioning hook never violates capacity or deadlines (late
+// The event-core contract (DESIGN.md §6; golden_test pins its outcomes):
+//  1. Scenario runs are deterministic under a fixed seed.
+//  2. The repositioning hook never violates capacity or deadlines (late
 //     dropoffs stay impossible) and its legs are charged to travel cost.
-//  4. The EventQueue pops (time, type, FIFO) — the tie discipline the
-//     batch-tick equivalence rests on.
+//  3. The EventQueue pops (time, type, FIFO) — the tie discipline every
+//     batch round's view of same-time events rests on.
 
 #include <gtest/gtest.h>
 
@@ -74,11 +70,8 @@ struct TinyPreset {
   std::vector<Request> requests;
 };
 
-// Everything observable except instrumented memory: the incremental share
-// graph (DESIGN.md §7) must reproduce the rebuild-per-batch reference on
-// all of these bitwise, but its persistent builder legitimately accounts
-// different bytes than per-batch throwaways.
-void ExpectOutcomeEqual(const RunMetrics& a, const RunMetrics& b) {
+// Bitwise agreement on everything observable except wall-clock fields.
+void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.served, b.served);
   EXPECT_EQ(a.cancelled, b.cancelled);
   EXPECT_EQ(a.expired, b.expired);
@@ -99,145 +92,11 @@ void ExpectOutcomeEqual(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.repositions, b.repositions);
   EXPECT_EQ(a.reposition_cost, b.reposition_cost);
   EXPECT_EQ(a.dataset, b.dataset);
-}
-
-void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
-  ExpectOutcomeEqual(a, b);
   EXPECT_EQ(a.sharegraph_pair_checks, b.sharegraph_pair_checks);
   EXPECT_EQ(a.memory_bytes, b.memory_bytes);
 }
 
-// Contract 1: the acceptance bar of the event-core rewrite. Every preset,
-// two seeds, 1 and 8 worker threads (SARD's parallel acceptance path).
-// Each run gets its own fixture — a fresh, cold travel-cost cache — so
-// sp_queries compares the actual backend work, not cache state.
-TEST(EngineTest, EventEngineMatchesLegacyBitwise) {
-  for (const std::string& ds :
-       {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
-    for (uint64_t seed : {uint64_t{4242}, uint64_t{777}}) {
-      for (int threads : {1, 8}) {
-        SCOPED_TRACE(ds + " seed=" + std::to_string(seed) +
-                     " threads=" + std::to_string(threads));
-        TinyPreset ev(ds), lg(ds);
-        RunMetrics event =
-            ev.MakeEngine(ev.Options(seed))->Run("SARD", ev.Config(threads));
-        RunMetrics legacy = lg.MakeEngine(lg.Options(seed))
-                                ->RunLegacy("SARD", lg.Config(threads));
-        ExpectBitwiseEqual(event, legacy);
-        EXPECT_EQ(event.dataset, ds);  // stamped by the engine, not callers
-      }
-    }
-  }
-}
-
-// The equivalence is per-dispatcher-roster, not a SARD artifact: online
-// methods (reject immediately) and batch methods (hold requests across
-// rounds) replay identically too. Run twice per method: on the frozen
-// reference stack (incremental share graph off — GAS/RTV rebuild per batch
-// in both engines, so even instrumented memory matches bitwise) and with
-// the incremental graph on, where everything except memory accounting must
-// still reproduce the legacy engine.
-TEST(EngineTest, EventEngineMatchesLegacyAcrossDispatcherKinds) {
-  for (const std::string& algo :
-       {std::string("pruneGDP"), std::string("GAS"), std::string("RTV"),
-        std::string("TicketAssign+"), std::string("DARM+DPRS")}) {
-    for (bool incremental : {false, true}) {
-      SCOPED_TRACE(algo + (incremental ? " incremental" : " rebuild"));
-      TinyPreset ev("CHD"), lg("CHD");
-      DispatchConfig ev_config = ev.Config();
-      ev_config.incremental_sharegraph = incremental;
-      DispatchConfig lg_config = lg.Config();
-      lg_config.incremental_sharegraph = false;  // RunLegacy's frozen stack
-      RunMetrics event = ev.MakeEngine(ev.Options())->Run(algo, ev_config);
-      RunMetrics legacy =
-          lg.MakeEngine(lg.Options())->RunLegacy(algo, lg_config);
-      if (incremental) {
-        ExpectOutcomeEqual(event, legacy);
-      } else {
-        ExpectBitwiseEqual(event, legacy);
-      }
-    }
-  }
-}
-
-// The incremental share graph's parity guarantee (DESIGN.md §7): one
-// maintained graph per run — requests retired at assignment / cancellation
-// / expiry events, fresh slices folded in per round — must reproduce the
-// rebuild-per-batch reference on served / costs / sp_queries / service
-// quality bitwise, for every graph-consuming dispatcher, preset and worker
-// thread count, while never spending more exact pair checks than the
-// rebuild path re-spends.
-TEST(EngineTest, IncrementalShareGraphMatchesRebuildReference) {
-  struct Case {
-    const char* algo;
-    int threads;
-  };
-  for (const std::string& ds :
-       {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
-    for (const Case& c : {Case{"GAS", 1}, Case{"RTV", 1}, Case{"SARD", 1},
-                          Case{"SARD", 8}}) {
-      SCOPED_TRACE(ds + " " + c.algo + " threads=" +
-                   std::to_string(c.threads));
-      TinyPreset inc(ds), ref(ds);
-      DispatchConfig inc_config = inc.Config(c.threads);
-      inc_config.incremental_sharegraph = true;
-      DispatchConfig ref_config = ref.Config(c.threads);
-      ref_config.incremental_sharegraph = false;
-      RunMetrics on = inc.MakeEngine(inc.Options())->Run(c.algo, inc_config);
-      RunMetrics off = ref.MakeEngine(ref.Options())->Run(c.algo, ref_config);
-      ExpectOutcomeEqual(on, off);
-      // The whole point: maintenance never re-checks a pair the reference
-      // path re-checks every batch. (The ≥2x reduction is gated at bench
-      // scale by abl_incremental_sharegraph; tiny pools here may retire
-      // too fast for a fixed ratio.)
-      EXPECT_LE(on.sharegraph_pair_checks, off.sharegraph_pair_checks);
-      EXPECT_GT(off.sharegraph_pair_checks, 0u);
-    }
-  }
-}
-
-// Online dispatch mode on the incremental graph: per-request insert at
-// release events, removal at assignment — same outcome as the
-// rebuild-per-round reference under the mode switch.
-TEST(EngineTest, IncrementalShareGraphMatchesRebuildInOnlineMode) {
-  auto run_mode = [&](bool incremental) {
-    TinyPreset preset("CHD");
-    const double d = preset.spec.workload.duration;
-    SimulationOptions sopts = preset.Options();
-    auto sim = preset.MakeEngine(sopts);
-    sim->AddScenario(MakeDispatchModeSwitch(0.25 * d, kInf));
-    DispatchConfig config = preset.Config();
-    config.incremental_sharegraph = incremental;
-    return sim->Run("SARD", config);
-  };
-  RunMetrics on = run_mode(true);
-  RunMetrics off = run_mode(false);
-  ExpectOutcomeEqual(on, off);
-  EXPECT_LE(on.sharegraph_pair_checks, off.sharegraph_pair_checks);
-}
-
-// Fault models ride on events now (cancellations fire at their own
-// timestamps, capacities draw per run) — still bitwise against the legacy
-// per-tick ClassifyRider pass.
-TEST(EngineTest, EventEngineMatchesLegacyUnderFaultModels) {
-  TinyPreset ev("CHD"), lg("CHD");
-  auto fault_options = [](const TinyPreset& p) {
-    SimulationOptions sopts = p.Options();
-    sopts.cancellation_rate = 0.4;
-    sopts.cancellation_patience = 15;
-    sopts.capacity_sigma = 1.0;
-    sopts.capacity_mean = p.spec.capacity;
-    return sopts;
-  };
-  RunMetrics event =
-      ev.MakeEngine(fault_options(ev))->Run("SARD", ev.Config());
-  RunMetrics legacy =
-      lg.MakeEngine(fault_options(lg))->RunLegacy("SARD", lg.Config());
-  ExpectBitwiseEqual(event, legacy);
-  EXPECT_GT(event.cancelled, 0);  // the fault model actually fired
-}
-
-// Contract 2: a fixed scenario stack under a fixed seed reproduces exactly
+// Contract 1: a fixed scenario stack under a fixed seed reproduces exactly
 // (fresh fixture per run: cold caches make sp_queries comparable).
 TEST(EngineTest, ScenarioRunsAreDeterministic) {
   auto run_once = [&]() {
@@ -296,7 +155,7 @@ TEST(EngineTest, OnlineDispatchServesWhatBatchTicksMiss) {
   EXPECT_GT(online.served, 0);
 }
 
-// Contract 3: repositioning must never break promises. Late dropoffs stay
+// Contract 2: repositioning must never break promises. Late dropoffs stay
 // impossible (CommitStops still gates every commit), completed legs are
 // counted and charged into travel cost, and the run stays deterministic.
 TEST(EngineTest, RepositioningKeepsInvariants) {
@@ -324,10 +183,9 @@ TEST(EngineTest, RepositioningKeepsInvariants) {
   ExpectBitwiseEqual(on, again);
 }
 
-// Out-of-service vehicles leave the candidate market in both scan paths;
-// the KNearest == prefix-of-full-sort contract must hold on the filtered
-// fleet too (exercised end-to-end by the downtime scenario above, pinned
-// here at the engine's default thread count via a spot check on metrics).
+// Out-of-service vehicles leave the candidate market; a run with vehicles
+// pulled mid-stream must still be bitwise identical at 1 and 8 worker
+// threads (SARD's parallel acceptance over the filtered fleet index).
 TEST(EngineTest, DowntimeIsThreadCountInvariant) {
   auto run_threads = [&](int threads) {
     TinyPreset preset("CHD");
@@ -404,7 +262,7 @@ TEST(EngineTest, OverlappingDowntimesRestoreTheirOwnVehicles) {
   EXPECT_TRUE(in_service[3]);
 }
 
-// Contract 4: the queue's tie discipline. Same time: scenario < release <
+// Contract 3: the queue's tie discipline. Same time: scenario < release <
 // stop completion < vehicle migration < tick < cancellation < expiry;
 // within one bucket, FIFO. (Migration after the stops that moved the
 // vehicle, before the tick that dispatches over settled residency.)
@@ -453,7 +311,7 @@ TEST(EngineTest2, ModeSwitchCoversSameTimeRelease) {
 // Property test: any event stream pops in exactly the order a stable sort
 // on (time, type) produces — FIFO inside every (time, type) bucket. Times
 // are drawn from a handful of discrete values so equal-timestamp ties are
-// dense (the regime the batch-tick equivalence depends on), and each
+// dense (the regime the tie discipline decides), and each
 // event's payload is its push index so FIFO violations are visible.
 TEST(EventQueueTest, RandomStreamsMatchStableSortReference) {
   Rng rng(20260728);

@@ -7,7 +7,10 @@
 // The tables were recorded while a second, vector-backed implementation of
 // every one of these algorithms still existed, with both implementations
 // agreeing in every cell, so the digests carry that reference forward
-// without keeping its code.
+// without keeping its code. Likewise every end-to-end row was reproduced,
+// on every outcome field, by the reference paths it could run — the frozen
+// fixed-batch engine, the rebuild-per-batch share graph, the full-fleet
+// distance sort and the serial shard loop — before those were deleted.
 //
 // Re-recording needs no knob: on any mismatch a test prints its whole
 // current table in the checked-in format. A change meant to move outcomes
@@ -21,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +36,7 @@
 #include "sharegraph/builder.h"
 #include "sim/datasets.h"
 #include "sim/engine.h"
+#include "sim/scenario.h"
 #include "sim/workload.h"
 #include "util/random.h"
 
@@ -59,6 +64,14 @@ struct EngineGolden {
   uint64_t pickup_wait_p50;
   uint64_t pickup_wait_p99;
   uint64_t mean_detour_ratio;
+  int expired;
+  int rejected;
+  int cross_shard_trips;
+  uint64_t shard_load_max_over_mean;  ///< bit pattern
+  uint64_t shard_sp_queries;          ///< digest of the per-shard vector
+  int repositions;
+  uint64_t reposition_cost;  ///< bit pattern
+  const char* scenario;
 };
 
 struct GroupingGolden {
@@ -332,6 +345,11 @@ struct CellKey {
   std::string algorithm;
   int threads;
   int shards;
+  /// "default", or a run condition RunCell layers on: "faults" (rider
+  /// cancellations and capacity variance), "mode-switch" (online dispatch
+  /// from a quarter of the stream on), "seed-777" (another fleet spawn and
+  /// fault-model stream).
+  std::string scenario;
 };
 
 std::vector<CellKey> EngineCells() {
@@ -339,11 +357,22 @@ std::vector<CellKey> EngineCells() {
   for (const char* ds : {"CHD", "NYC", "Cainiao"}) {
     for (const char* algo :
          {"RTV", "pruneGDP", "GAS", "TicketAssign+", "DARM+DPRS", "SARD"}) {
-      cells.push_back({ds, algo, 1, 1});
+      cells.push_back({ds, algo, 1, 1, "default"});
     }
-    cells.push_back({ds, "SARD", 8, 1});
-    cells.push_back({ds, "SARD", 8, 4});
+    cells.push_back({ds, "SARD", 8, 1, "default"});
+    cells.push_back({ds, "SARD", 8, 4, "default"});
   }
+  // The serial shard loop: one thread runs the shards' batches in shard-id
+  // order, and must match the concurrent 8-thread rows above.
+  for (const char* ds : {"CHD", "NYC", "Cainiao"}) {
+    cells.push_back({ds, "SARD", 1, 4, "default"});
+  }
+  for (const char* ds : {"CHD", "NYC", "Cainiao"}) {
+    cells.push_back({ds, "SARD", 1, 1, "seed-777"});
+    cells.push_back({ds, "SARD", 8, 1, "seed-777"});
+  }
+  cells.push_back({"CHD", "SARD", 1, 1, "faults"});
+  cells.push_back({"CHD", "SARD", 1, 1, "mode-switch"});
   return cells;
 }
 
@@ -362,10 +391,21 @@ RunMetrics RunCell(const CellKey& cell) {
   auto reqs = GenerateWorkload(net, &engine, spec.policy, spec.workload);
   SimulationOptions sopts;
   sopts.batch_period = 5;
-  sopts.seed = 4242;
+  sopts.seed = cell.scenario == "seed-777" ? 777 : 4242;
   sopts.dataset = spec.name;
+  if (cell.scenario == "faults") {
+    sopts.cancellation_rate = 0.4;
+    sopts.cancellation_patience = 15;
+    sopts.capacity_sigma = 1.0;
+    sopts.capacity_mean = spec.capacity;
+  }
   SimulationEngine sim(&engine, reqs, sopts);
   sim.SpawnFleet(std::max(24, spec.num_vehicles), spec.capacity);
+  if (cell.scenario == "mode-switch") {
+    sim.AddScenario(MakeDispatchModeSwitch(
+        0.25 * spec.workload.duration,
+        std::numeric_limits<double>::infinity()));
+  }
   DispatchConfig config;
   config.vehicle_capacity = spec.capacity;
   config.grouping.max_group_size = spec.capacity;
@@ -379,6 +419,9 @@ RunMetrics RunCell(const CellKey& cell) {
 }
 
 EngineGolden ToGolden(const CellKey& key, const RunMetrics& m) {
+  Digest shard_sp;
+  shard_sp.Word(m.shard_sp_queries.size());
+  for (uint64_t q : m.shard_sp_queries) shard_sp.Word(q);
   return {key.dataset.c_str(),      key.algorithm.c_str(),
           key.threads,              key.shards,
           m.served,                 m.cancelled,
@@ -387,26 +430,36 @@ EngineGolden ToGolden(const CellKey& key, const RunMetrics& m) {
           Bits(m.unified_cost),     Bits(m.travel_cost),
           Bits(m.penalty_cost),     Bits(m.service_rate),
           Bits(m.pickup_wait_p50),  Bits(m.pickup_wait_p99),
-          Bits(m.mean_detour_ratio)};
+          Bits(m.mean_detour_ratio),
+          m.expired,                m.rejected,
+          m.cross_shard_trips,      Bits(m.shard_load_max_over_mean),
+          shard_sp.value(),         m.repositions,
+          Bits(m.reposition_cost),  key.scenario.c_str()};
 }
 
 std::string PrintEngineTable(const std::vector<EngineGolden>& rows) {
   std::string out = "const EngineGolden kEngineGolden[] = {\n";
-  char buf[512];
+  char buf[640];
   for (const EngineGolden& g : rows) {
     std::snprintf(buf, sizeof(buf),
                   "    {\"%s\", \"%s\", %d, %d,\n"
                   "     %d, %d, %d, %" PRIu64 ", %" PRIu64 ", %" PRIu64 ",\n"
                   "     %s, %s, %s,\n"
                   "     %s, %s, %s,\n"
-                  "     %s},\n",
+                  "     %s,\n"
+                  "     %d, %d, %d, %s, %s, %d, %s,\n"
+                  "     \"%s\"},\n",
                   g.dataset, g.algorithm, g.threads, g.shards, g.served,
                   g.cancelled, g.late_dropoffs, g.sp_queries, g.pair_checks,
                   g.memory_bytes, Hex(g.unified_cost).c_str(),
                   Hex(g.travel_cost).c_str(), Hex(g.penalty_cost).c_str(),
                   Hex(g.service_rate).c_str(), Hex(g.pickup_wait_p50).c_str(),
                   Hex(g.pickup_wait_p99).c_str(),
-                  Hex(g.mean_detour_ratio).c_str());
+                  Hex(g.mean_detour_ratio).c_str(), g.expired, g.rejected,
+                  g.cross_shard_trips,
+                  Hex(g.shard_load_max_over_mean).c_str(),
+                  Hex(g.shard_sp_queries).c_str(), g.repositions,
+                  Hex(g.reposition_cost).c_str(), g.scenario);
     out += buf;
   }
   return out + "};\n";
@@ -418,10 +471,12 @@ double Real(uint64_t bits) {
   return d;
 }
 
-// dispatcher x preset x threads x shards: served, cancelled, late dropoffs,
-// SP queries, pair checks, instrumented memory, and the bit patterns of
-// unified/travel/penalty cost, service rate, pickup-wait p50/p99 and mean
-// detour.
+// dispatcher x preset x threads x shards x scenario: served, cancelled,
+// late dropoffs, SP queries, pair checks, instrumented memory, expired,
+// rejected, cross-shard trips, repositions, a digest of the per-shard SP
+// queries, and the bit patterns of unified/travel/penalty cost, service
+// rate, pickup-wait p50/p99, mean detour, shard load max/mean and
+// reposition cost.
 TEST(GoldenEngineTest, EveryDispatcherMatchesGolden) {
   const std::vector<CellKey> cells = EngineCells();
   EXPECT_EQ(std::size(kEngineGolden), cells.size());
@@ -430,17 +485,27 @@ TEST(GoldenEngineTest, EveryDispatcherMatchesGolden) {
     const CellKey& key = cells[i];
     SCOPED_TRACE(key.dataset + " " + key.algorithm +
                  " threads=" + std::to_string(key.threads) +
-                 " shards=" + std::to_string(key.shards));
-    const EngineGolden got = ToGolden(key, RunCell(key));
+                 " shards=" + std::to_string(key.shards) + " " +
+                 key.scenario);
+    const RunMetrics m = RunCell(key);
+    // Live checks on what the table does not store: the engine stamps the
+    // preset name and shard count, and every request reaches exactly one
+    // terminal outcome.
+    EXPECT_EQ(m.dataset, key.dataset);
+    EXPECT_EQ(m.num_shards, key.shards);
+    EXPECT_EQ(m.served + m.cancelled + m.expired + m.rejected + m.late_dropoffs,
+              m.total_requests);
+    const EngineGolden got = ToGolden(key, m);
     current.push_back(got);
     if (i >= std::size(kEngineGolden)) continue;
     const EngineGolden& want = kEngineGolden[i];
     EXPECT_TRUE(key.dataset == want.dataset &&
                 key.algorithm == want.algorithm &&
-                key.threads == want.threads && key.shards == want.shards)
+                key.threads == want.threads && key.shards == want.shards &&
+                key.scenario == want.scenario)
         << "golden row " << i << " is " << want.dataset << " "
         << want.algorithm << " threads=" << want.threads
-        << " shards=" << want.shards;
+        << " shards=" << want.shards << " " << want.scenario;
     EXPECT_EQ(got.served, want.served);
     EXPECT_EQ(got.cancelled, want.cancelled);
     EXPECT_EQ(got.late_dropoffs, want.late_dropoffs);
@@ -462,6 +527,16 @@ TEST(GoldenEngineTest, EveryDispatcherMatchesGolden) {
     EXPECT_EQ(got.mean_detour_ratio, want.mean_detour_ratio)
         << Real(got.mean_detour_ratio) << " vs "
         << Real(want.mean_detour_ratio);
+    EXPECT_EQ(got.expired, want.expired);
+    EXPECT_EQ(got.rejected, want.rejected);
+    EXPECT_EQ(got.cross_shard_trips, want.cross_shard_trips);
+    EXPECT_EQ(got.shard_load_max_over_mean, want.shard_load_max_over_mean)
+        << Real(got.shard_load_max_over_mean) << " vs "
+        << Real(want.shard_load_max_over_mean);
+    EXPECT_EQ(got.shard_sp_queries, want.shard_sp_queries);
+    EXPECT_EQ(got.repositions, want.repositions);
+    EXPECT_EQ(got.reposition_cost, want.reposition_cost)
+        << Real(got.reposition_cost) << " vs " << Real(want.reposition_cost);
   }
   if (::testing::Test::HasFailure()) {
     ADD_FAILURE() << "kEngineGolden differs from tests/golden_digests.inc; "

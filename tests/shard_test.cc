@@ -1,8 +1,7 @@
 // The geo-sharding contract (DESIGN.md §12):
-//  1. num_shards=1 is *bitwise* identical to the frozen legacy engine —
-//     served, costs, sp_queries, service-quality stats — for every
-//     registered dispatcher, every dataset preset, 1 and 8 worker threads.
-//     The whole shard machinery must vanish at Z=1.
+//  1. num_shards=1 is the single-region engine: the whole shard machinery
+//     vanishes at Z=1. (golden_test pins every dispatcher's 1-shard
+//     outcomes; the N-shard census cells below use Z=1 as their baseline.)
 //  2. num_shards>1 conserves requests and vehicles exactly: every request
 //     reaches exactly one terminal outcome, every vehicle lives in exactly
 //     one shard's member list (the engine SR_CHECKs this every round; the
@@ -223,67 +222,6 @@ TEST(ShardHelperTest, NearestInServiceVehicle) {
             std::numeric_limits<size_t>::max());
 }
 
-// -------------------------------------------------- 1-shard bitwise gate --
-
-// Contract 1: the coordinator at Z=1 replays the exact pre-sharding round
-// for the whole dispatcher roster. Both sides run the frozen
-// rebuild-per-batch share-graph reference (incremental_sharegraph off) so
-// the comparison is fully bitwise, pair checks and instrumented bytes
-// included — RunLegacy never maintains the incremental graph, and its
-// persistent builder legitimately accounts differently (DESIGN.md §7;
-// engine_test pins that equivalence). SARD's 8-thread cell exercises the
-// parallel acceptance path through the shard context's shared pool.
-TEST(ShardParityTest, OneShardMatchesLegacyBitwiseAcrossRoster) {
-  for (const std::string& ds :
-       {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
-    for (const std::string& algo : ListDispatchers()) {
-      for (int threads : {1, 8}) {
-        SCOPED_TRACE(ds + " " + algo + " threads=" + std::to_string(threads));
-        TinyPreset ev(ds), lg(ds);
-        DispatchConfig config = ev.Config(threads);
-        config.incremental_sharegraph = false;
-        config.num_shards = 1;  // explicit: the sharded coordinator's Z=1
-        DispatchConfig legacy_config = lg.Config(threads);
-        legacy_config.incremental_sharegraph = false;
-        RunMetrics event = ev.MakeEngine(ev.Options())->Run(algo, config);
-        RunMetrics legacy =
-            lg.MakeEngine(lg.Options())->RunLegacy(algo, legacy_config);
-        ExpectBitwiseEqual(event, legacy);
-        EXPECT_EQ(event.num_shards, 1);
-        EXPECT_EQ(event.cross_shard_trips, 0);
-      }
-    }
-  }
-}
-
-// Same gate under the default config (incremental share graph on): every
-// *outcome* — served, costs, sp_queries, service quality, shard counters —
-// still matches legacy bitwise for the graph consumers; only the
-// §7-documented pair-check/byte accounting may differ.
-TEST(ShardParityTest, OneShardDefaultConfigMatchesLegacyOutcomes) {
-  for (const std::string& algo : {std::string("GAS"), std::string("RTV"),
-                                  std::string("SARD")}) {
-    SCOPED_TRACE(algo);
-    TinyPreset ev("CHD"), lg("CHD");
-    DispatchConfig config = ev.Config();
-    config.num_shards = 1;
-    RunMetrics event = ev.MakeEngine(ev.Options())->Run(algo, config);
-    RunMetrics legacy = lg.MakeEngine(lg.Options())->RunLegacy(algo, lg.Config());
-    EXPECT_EQ(event.served, legacy.served);
-    EXPECT_EQ(event.cancelled, legacy.cancelled);
-    EXPECT_EQ(event.expired, legacy.expired);
-    EXPECT_EQ(event.rejected, legacy.rejected);
-    EXPECT_EQ(event.unified_cost, legacy.unified_cost);
-    EXPECT_EQ(event.sp_queries, legacy.sp_queries);
-    EXPECT_EQ(event.pickup_wait_p50, legacy.pickup_wait_p50);
-    EXPECT_EQ(event.pickup_wait_p99, legacy.pickup_wait_p99);
-    EXPECT_EQ(event.mean_detour_ratio, legacy.mean_detour_ratio);
-    EXPECT_EQ(event.num_shards, legacy.num_shards);
-    EXPECT_EQ(event.cross_shard_trips, 0);
-    EXPECT_EQ(event.shard_load_max_over_mean, legacy.shard_load_max_over_mean);
-  }
-}
-
 // ---------------------------------------------- N-shard conservation gate --
 
 // Contract 2, randomized: multi-shard runs under the cancellation fault
@@ -409,10 +347,11 @@ TEST(ShardEscrowTest, HandoffCrossesTheBoundary) {
 
 // ------------------------------------- concurrent shard execution gate --
 
-// The PR-8 contract (DESIGN.md §12): concurrent_shards=true runs the
-// per-shard batch phase as independent pool tasks, but the buffer-then-
-// commit protocol keeps it bitwise identical to the serial shard-id-order
-// reference — outcomes, costs, #SP queries, and the per-shard counter
+// The concurrency contract (DESIGN.md §12): with num_threads > 1 a
+// multi-shard round runs the per-shard batch phase as independent pool
+// tasks, but the buffer-then-commit protocol keeps it bitwise identical to
+// num_threads = 1, which runs the same batches one after another in
+// shard-id order — outcomes, costs, #SP queries, and the per-shard counter
 // vectors. shard_cache_capacity is pinned large enough that no travel-cost
 // partition ever evicts: eviction *order* under sard_parallel_acceptance is
 // the one documented place the two interleavings could legally differ.
@@ -420,49 +359,45 @@ TEST(ShardConcurrencyTest, ConcurrentMatchesSerialAcrossRoster) {
   for (const std::string& ds :
        {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
     for (const std::string& algo : ListDispatchers()) {
-      for (int threads : {1, 8}) {
-        SCOPED_TRACE(ds + " " + algo + " threads=" + std::to_string(threads));
-        auto run_once = [&](bool concurrent) {
-          TinyPreset preset(ds);
-          DispatchConfig config = preset.Config(threads);
-          config.num_shards = 4;
-          config.concurrent_shards = concurrent;
-          config.shard_cache_capacity = size_t{1} << 16;
-          return preset.MakeEngine(preset.Options())->Run(algo, config);
-        };
-        RunMetrics on = run_once(true);
-        RunMetrics off = run_once(false);
-        ExpectBitwiseEqual(on, off);
-        EXPECT_EQ(on.shard_sp_queries, off.shard_sp_queries);
-        EXPECT_EQ(on.shard_cache_hit_rate, off.shard_cache_hit_rate);
-        ExpectCensusBalanced(on);
-        EXPECT_EQ(on.num_shards, 4);
-      }
+      SCOPED_TRACE(ds + " " + algo);
+      auto run_once = [&](int threads) {
+        TinyPreset preset(ds);
+        DispatchConfig config = preset.Config(threads);
+        config.num_shards = 4;
+        config.shard_cache_capacity = size_t{1} << 16;
+        return preset.MakeEngine(preset.Options())->Run(algo, config);
+      };
+      RunMetrics on = run_once(8);
+      RunMetrics off = run_once(1);
+      ExpectBitwiseEqual(on, off);
+      EXPECT_EQ(on.shard_sp_queries, off.shard_sp_queries);
+      EXPECT_EQ(on.shard_cache_hit_rate, off.shard_cache_hit_rate);
+      ExpectCensusBalanced(on);
+      EXPECT_EQ(on.num_shards, 4);
     }
   }
 }
 
 // Same gate under the randomized cancellation fault model: the concurrent
 // batch phase must not perturb the RNG stream or the escrow bookkeeping —
-// every seed replays bitwise against its serial reference.
+// every seed replays bitwise against its 1-thread run.
 TEST(ShardConcurrencyTest, RandomizedFaultModelMatchesSerialBitwise) {
   for (uint64_t seed : {uint64_t{77}, uint64_t{31337}, uint64_t{424242}}) {
     for (int shards : {2, 4}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " shards=" + std::to_string(shards));
-      auto run_once = [&](bool concurrent) {
+      auto run_once = [&](int threads) {
         TinyPreset preset("CHD");
         SimulationOptions sopts = preset.Options(seed);
         sopts.cancellation_rate = 0.35;
         sopts.cancellation_patience = 15;
-        DispatchConfig config = preset.Config(8);
+        DispatchConfig config = preset.Config(threads);
         config.num_shards = shards;
-        config.concurrent_shards = concurrent;
         config.shard_cache_capacity = size_t{1} << 16;
         return preset.MakeEngine(sopts)->Run("SARD", config);
       };
-      RunMetrics on = run_once(true);
-      RunMetrics off = run_once(false);
+      RunMetrics on = run_once(8);
+      RunMetrics off = run_once(1);
       ExpectBitwiseEqual(on, off);
       EXPECT_EQ(on.shard_sp_queries, off.shard_sp_queries);
       EXPECT_EQ(on.shard_cache_hit_rate, off.shard_cache_hit_rate);
@@ -474,11 +409,11 @@ TEST(ShardConcurrencyTest, RandomizedFaultModelMatchesSerialBitwise) {
 // Dense-boundary stress: a line city split into four zones with every
 // request crossing at least one zone boundary and a fleet too small to
 // populate every zone — maximal escrow/re-homing traffic. The concurrent
-// phase must reproduce the serial reference bitwise while actually
+// phase must reproduce the 1-thread run bitwise while actually
 // performing cross-shard handoffs (not vacuously, cross_shard_trips > 0).
 TEST(ShardConcurrencyTest, DenseBoundaryStressMatchesSerialBitwise) {
   constexpr int kNodes = 40;
-  auto run_once = [&](bool concurrent) {
+  auto run_once = [&](int threads) {
     RoadNetwork net;
     for (int i = 0; i < kNodes; ++i) {
       net.AddNode({static_cast<double>(i), 0});
@@ -513,13 +448,12 @@ TEST(ShardConcurrencyTest, DenseBoundaryStressMatchesSerialBitwise) {
     DispatchConfig config;
     config.num_shards = 4;
     config.shard_grid_cols = 4;
-    config.concurrent_shards = concurrent;
-    config.num_threads = 8;
+    config.num_threads = threads;
     config.shard_cache_capacity = size_t{1} << 16;
     return sim.Run("SARD", config);
   };
-  RunMetrics on = run_once(true);
-  RunMetrics off = run_once(false);
+  RunMetrics on = run_once(8);
+  RunMetrics off = run_once(1);
   ExpectBitwiseEqual(on, off);
   EXPECT_EQ(on.shard_sp_queries, off.shard_sp_queries);
   EXPECT_EQ(on.shard_cache_hit_rate, off.shard_cache_hit_rate);

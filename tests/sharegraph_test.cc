@@ -207,7 +207,7 @@ TEST(ShareGraphBuilderTest, PairMemoAnswersRepeatsAndResetsOnRemoval) {
 // seeded random batch / assignment / expiry / retain sequences through the
 // incremental builder, and after EVERY step rebuild the graph from scratch
 // over the surviving requests (in the incremental builder's insertion
-// order — exactly what the frozen rebuild-per-batch path would do). Node
+// order — exactly what rebuilding the graph every batch would do). Node
 // sequence, edge count and each node's full neighbor SEQUENCE must match;
 // the graph is unweighted, so adjacency order is the strictest per-edge
 // invariant there is — it is what makes dispatcher results independent of
