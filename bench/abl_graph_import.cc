@@ -3,20 +3,20 @@
 //
 // Phases (always all of them, so both CI modes emit the same row set):
 //   1. import the graph file (DIMACS/OSM; default: the bundled fixture)
-//   2. build the hub-label arena and the CH upward CSR from scratch
+//   2. build the hub-label arena from scratch
 //   3. write the snapshot — or reuse an existing one at
 //      STRUCTRIDE_SNAPSHOT_PATH (the CI cache), which turns the parity
 //      gate below into a cross-run differential
 //   4. load it back, heap-read and mmap, several times (load-many)
-//   5. parity gate: on sampled pairs, Dijkstra / bidirectional / A* / HL /
-//      CH on the loaded graph must be bitwise equal to the rebuilt
+//   5. parity gate: on sampled pairs, Dijkstra / bidirectional / A* / HL
+//      on the loaded graph must be bitwise equal to the rebuilt
 //      in-memory versions, and a loaded-engine vs rebuilt-engine replay
 //      must agree cost-for-cost with identical sp_queries. Any divergence
 //      exits nonzero.
 //
 // The "engine_ready" row is the compare_bench.py hook: its running_time_s
 // is the time from graph file to query-ready engine under
-// STRUCTRIDE_IMPORT_MODE — "build" (import + index builds) or "snapshot"
+// STRUCTRIDE_IMPORT_MODE — "build" (import + HL build) or "snapshot"
 // (one heap-read load). CI runs the bench once per mode into two JSON dirs
 // and gates snapshot >= 10x build. The row's unified_cost carries the sum
 // of the sampled costs and sp_queries the replay's backend count, so the
@@ -31,7 +31,6 @@
 
 #include "bench/harness.h"
 #include "roadnet/astar.h"
-#include "roadnet/contraction_hierarchies.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/hub_labeling.h"
 #include "roadnet/importer.h"
@@ -113,17 +112,12 @@ int main() {
   auto t1 = Clock::now();
   HubLabeling hl(net);
   auto t2 = Clock::now();
-  ContractionHierarchies ch(net);
-  auto t3 = Clock::now();
   const double import_s = Seconds(t0, t1);
   const double build_hl_s = Seconds(t1, t2);
-  const double build_ch_s = Seconds(t2, t3);
   std::printf("  import          %8.2f ms  (%zu nodes, %zu edges)\n",
               import_s * 1e3, net.num_nodes(), net.num_edges());
   std::printf("  build HL        %8.2f ms  (%zu label entries)\n",
               build_hl_s * 1e3, hl.TotalLabelEntries());
-  std::printf("  build CH        %8.2f ms  (%zu shortcuts)\n",
-              build_ch_s * 1e3, ch.num_shortcuts());
 
   // Phase 3: write (or adopt the cached) snapshot.
   double write_s = 0;
@@ -132,7 +126,6 @@ int main() {
   if (!have_cached) {
     SnapshotWriteOptions wopts;
     wopts.hub_labels = &hl;
-    wopts.ch = &ch;
     auto w0 = Clock::now();
     if (!WriteGraphSnapshot(net, wopts, snap_path, &error)) {
       std::fprintf(stderr, "snapshot write failed: %s\n", error.c_str());
@@ -173,8 +166,7 @@ int main() {
   // Phase 5a: backend parity, loaded vs rebuilt, bitwise.
   Check(loaded.network.num_nodes() == net.num_nodes(), "node count");
   Check(loaded.network.num_edges() == net.num_edges(), "edge count");
-  Check(loaded.hub_labels != nullptr && loaded.ch != nullptr,
-        "loaded snapshot carries both indices");
+  Check(loaded.hub_labels != nullptr, "loaded snapshot carries hub labels");
   if (g_failures != 0) return 1;
 
   Rng rng(4321);
@@ -192,7 +184,6 @@ int main() {
           "A* bitwise equality");
     Check(loaded.hub_labels->Query(s, t) == want_hl,
           "hub-label bitwise equality");
-    Check(loaded.ch->Query(s, t) == ch.Query(s, t), "CH bitwise equality");
     cost_digest += want_hl;
   }
   std::vector<double> full_ref = DijkstraAll(net, 0);
@@ -205,7 +196,6 @@ int main() {
   TravelCostEngine built(net, built_opts);
   TravelCostOptions adopt_opts;
   adopt_opts.prebuilt_hub_labels = loaded.hub_labels.get();
-  adopt_opts.prebuilt_ch = loaded.ch.get();
   TravelCostEngine adopted(loaded.network, adopt_opts);
   Rng qrng(8765);
   for (int i = 0; i < 2000; ++i) {
@@ -218,13 +208,12 @@ int main() {
   const uint64_t sp_queries = adopted.num_queries();
 
   // The compare_bench rows (see file comment).
-  const double build_path_s = import_s + build_hl_s + build_ch_s;
+  const double build_path_s = import_s + build_hl_s;
   const double ready_s = mode == "build" ? build_path_s : load_read_s;
   RecordTiming(dataset, "engine_ready", ready_s, cost_digest, sp_queries,
                kSamples);
   RecordTiming(dataset, "import", import_s);
   RecordTiming(dataset, "build_hl", build_hl_s);
-  RecordTiming(dataset, "build_ch", build_ch_s);
   RecordTiming(dataset, "load_read", load_read_s);
   RecordTiming(dataset, "load_mmap", load_mmap_s);
 

@@ -1,13 +1,12 @@
 // Ablation: the distance-oracle backend choice. The paper's setup fixes hub
 // labeling + LRU cache for every algorithm; this bench measures what that
-// choice buys by comparing all point-to-point backends (hub labels,
-// contraction hierarchies, A*, bidirectional Dijkstra) on query latency and
-// preprocessing cost over the same synthetic city.
+// choice buys by comparing all point-to-point backends (hub labels, A*,
+// bidirectional Dijkstra) on query latency and preprocessing cost over the
+// same synthetic city.
 
 #include <benchmark/benchmark.h>
 
 #include "roadnet/astar.h"
-#include "roadnet/contraction_hierarchies.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/generator.h"
 #include "roadnet/hub_labeling.h"
@@ -44,18 +43,6 @@ void BM_QueryHubLabel(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryHubLabel);
 
-void BM_QueryContractionHierarchies(benchmark::State& state) {
-  static ContractionHierarchies index(Net());
-  Rng rng(1);
-  for (auto _ : state) {
-    auto [s, t] = RandomPair(rng);
-    benchmark::DoNotOptimize(index.Query(s, t));
-  }
-  state.SetLabel("index " + std::to_string(index.MemoryBytes() / 1024) + " KiB, " +
-                 std::to_string(index.num_shortcuts()) + " shortcuts");
-}
-BENCHMARK(BM_QueryContractionHierarchies);
-
 void BM_QueryAStar(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
@@ -76,8 +63,8 @@ void BM_QueryBidirectionalDijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryBidirectionalDijkstra);
 
-// Preprocessing cost, swept over city size. Hub labels answer faster but
-// cost far more to build; CH sits between the index-free searches and HL.
+// Preprocessing cost, swept over city size: what hub labels pay up front
+// for answering far faster than the index-free searches.
 void BM_BuildHubLabel(benchmark::State& state) {
   CityOptions opt;
   opt.rows = static_cast<int>(state.range(0));
@@ -91,25 +78,6 @@ void BM_BuildHubLabel(benchmark::State& state) {
   state.SetLabel(std::to_string(net.num_nodes()) + " nodes");
 }
 BENCHMARK(BM_BuildHubLabel)->Arg(10)->Arg(20)->Arg(30)->Unit(benchmark::kMillisecond)->Iterations(3);
-
-void BM_BuildContractionHierarchies(benchmark::State& state) {
-  CityOptions opt;
-  opt.rows = static_cast<int>(state.range(0));
-  opt.cols = static_cast<int>(state.range(0));
-  opt.seed = 11;
-  RoadNetwork net = GenerateGridCity(opt);
-  for (auto _ : state) {
-    ContractionHierarchies index(net);
-    benchmark::DoNotOptimize(index.num_shortcuts());
-  }
-  state.SetLabel(std::to_string(net.num_nodes()) + " nodes");
-}
-BENCHMARK(BM_BuildContractionHierarchies)
-    ->Arg(10)
-    ->Arg(20)
-    ->Arg(30)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
 
 // Dispatch-shaped access pattern: the LRU-cached engine over each indexed
 // backend, on a skewed (hotspot-heavy) query mix like real batches produce.
@@ -140,11 +108,6 @@ void BM_CachedEngineHubLabel(benchmark::State& state) {
   CachedEngineBench(state, TravelCostOptions::Backend::kHubLabeling);
 }
 BENCHMARK(BM_CachedEngineHubLabel);
-
-void BM_CachedEngineCH(benchmark::State& state) {
-  CachedEngineBench(state, TravelCostOptions::Backend::kContractionHierarchies);
-}
-BENCHMARK(BM_CachedEngineCH);
 
 void BM_CachedEngineDijkstra(benchmark::State& state) {
   CachedEngineBench(state, TravelCostOptions::Backend::kBidirectionalDijkstra);

@@ -303,15 +303,12 @@ TravelCostOptions::Backend BenchSpBackend() {
   if (std::strcmp(env, "hl") == 0) {
     return TravelCostOptions::Backend::kHubLabeling;
   }
-  if (std::strcmp(env, "ch") == 0) {
-    return TravelCostOptions::Backend::kContractionHierarchies;
-  }
   if (std::strcmp(env, "bd") == 0) {
     return TravelCostOptions::Backend::kBidirectionalDijkstra;
   }
   std::fprintf(stderr,
-               "[bench] ignoring STRUCTRIDE_SP_BACKEND=\"%s\" (want hl, ch "
-               "or bd); using the default hl\n",
+               "[bench] ignoring STRUCTRIDE_SP_BACKEND=\"%s\" (want hl or "
+               "bd); using the default hl\n",
                env);
   return TravelCostOptions::Backend::kHubLabeling;
 }
@@ -335,10 +332,9 @@ BenchContext::BenchContext(const std::string& dataset, double scale)
   graph_ = BuildGraph(&spec_);
   TravelCostOptions topts;
   topts.backend = BenchSpBackend();
-  // Snapshot-loaded indices ride along in the bundle; adopt them so a
+  // Snapshot-loaded hub labels ride along in the bundle; adopt them so a
   // preprocessed graph never rebuilds what the file already carries.
   topts.prebuilt_hub_labels = graph_.hub_labels.get();
-  topts.prebuilt_ch = graph_.ch.get();
   engine_ = std::make_unique<TravelCostEngine>(graph_.network, topts);
   std::fprintf(stderr, "[bench] %s: %zu nodes, %zu edges, %d requests, %d vehicles\n",
                spec_.name.c_str(), graph_.network.num_nodes(),
@@ -388,7 +384,6 @@ RunMetrics BenchContext::Run(const std::string& algorithm,
   config.grouping.max_group_size = capacity;
   config.sharegraph.vehicle_capacity = capacity;
   config.sharegraph.use_angle_pruning = params.angle_pruning;
-  config.ilp_node_cap = 200'000;
   config.num_threads = BenchThreads();
   config.num_shards = BenchShards();
 

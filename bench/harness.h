@@ -88,9 +88,9 @@ double BenchQps();
 /// service gate hold runs to, in milliseconds.
 double BenchSloP99Ms();
 
-/// \brief Env-var travel-cost backend (STRUCTRIDE_SP_BACKEND: "hl", "ch" or
-/// "bd"; default "hl"): the shortest-path backend BenchContext builds its
-/// engine with, so the sweep generator can grid over backends.
+/// \brief Env-var travel-cost backend (STRUCTRIDE_SP_BACKEND: "hl" or "bd";
+/// default "hl"): the shortest-path backend BenchContext builds its engine
+/// with, so the sweep generator can grid over backends.
 TravelCostOptions::Backend BenchSpBackend();
 
 /// \brief Escapes \p s for embedding inside a JSON string literal: quotes,

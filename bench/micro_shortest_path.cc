@@ -1,10 +1,10 @@
 // Microbenchmarks for the shortest-path substrate, in two parts:
 //
 //  1. A cold/warm latency study on the CHD preset network: for each backend
-//     (hub labels, contraction hierarchies, bidirectional Dijkstra) the same
-//     random pair set is driven through a fresh TravelCostEngine twice — the
-//     cold pass is all cache misses (backend-bound), the warm pass is all
-//     cache hits (LRU-bound) — and p50/p99 per-query latency plus
+//     (hub labels, bidirectional Dijkstra) the same random pair set is
+//     driven through a fresh TravelCostEngine twice — the cold pass is all
+//     cache misses (backend-bound), the warm pass is all cache hits
+//     (LRU-bound) — and p50/p99 per-query latency plus
 //     queries/sec are reported per phase. A third HL-only pass issues the
 //     pairs as one-to-many CostMany batches. Warm (and CostMany) queries are
 //     tens of nanoseconds, below the clock resolution, so those phases time
@@ -188,8 +188,6 @@ void RunLatencyStudy() {
   std::vector<BackendReport> reports;
   reports.push_back(RunStudyBackend(
       net, TravelCostOptions::Backend::kHubLabeling, "HL", pairs));
-  reports.push_back(RunStudyBackend(
-      net, TravelCostOptions::Backend::kContractionHierarchies, "CH", pairs));
   reports.push_back(RunStudyBackend(
       net, TravelCostOptions::Backend::kBidirectionalDijkstra, "BiDijkstra",
       pairs));

@@ -22,11 +22,13 @@ Layout under --out:
 Usage:
   sweep.py --bindir build --out sweep_out \\
       --benches fig13_vary_batch,svc_sustained_qps \\
-      --shards 1,4 --threads 1,4 --backends hl,ch --qps 0,1000
+      --shards 1,4 --threads 1,4 --backends hl,bd --qps 0,1000
   sweep.py --bindir build --out sweep_out --smoke   # tiny CI smoke grid
 
 qps 0 means replay mode (no service-mode env set); a positive qps sets
 STRUCTRIDE_QPS for the cell. Every cell inherits --scale and --algos.
+--backends accepts only hl and bd: the harness would run any other value as
+hl, so an unknown backend is an error here rather than a mislabelled cell.
 """
 
 import argparse
@@ -35,6 +37,8 @@ import json
 import os
 import subprocess
 import sys
+
+BACKENDS = ("hl", "bd")  # the values STRUCTRIDE_SP_BACKEND understands
 
 
 def parse_list(text, cast):
@@ -144,7 +148,7 @@ def main():
     ap.add_argument("--shards", default="1,4")
     ap.add_argument("--threads", default="1,4")
     ap.add_argument("--backends", default="hl",
-                    help="comma list of hl,ch,bd")
+                    help="comma list of %s" % ",".join(BACKENDS))
     ap.add_argument("--qps", default="0",
                     help="comma list; 0 = replay mode, >0 = service mode")
     ap.add_argument("--scale", type=float, default=None,
@@ -167,9 +171,15 @@ def main():
             args.algos = "SARD"
 
     benches = parse_list(args.benches, str)
+    backends = parse_list(args.backends, str)
+    unknown = [b for b in backends if b not in BACKENDS]
+    if unknown:
+        sys.stderr.write("sweep: unknown backend(s) %s (want %s)\n"
+                         % (",".join(unknown), " or ".join(BACKENDS)))
+        return 2
     grid = list(itertools.product(
         parse_list(args.shards, int), parse_list(args.threads, int),
-        parse_list(args.backends, str), parse_list(args.qps, float)))
+        backends, parse_list(args.qps, float)))
     if not benches or not grid:
         sys.stderr.write("sweep: empty bench list or grid\n")
         return 2

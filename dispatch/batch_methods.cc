@@ -22,6 +22,9 @@
 namespace structride {
 namespace {
 
+// Global cap on enumerated trip nodes per batch: RTV's ILP size guard.
+constexpr int64_t kIlpNodeCap = 200000;
+
 // One materialized trip record (vehicle plus group): the per-candidate
 // term of the instrumented memory accounting (Fig. 14).
 struct TripCandidate {
@@ -173,7 +176,7 @@ class RtvDispatcher : public GraphBatchDispatcher {
     for (size_t vi = 0; vi < fleet.size(); ++vi) {
       per_vehicle[vi] = PooledGroupingResult{};
     }
-    int64_t node_budget = config_.ilp_node_cap;
+    int64_t node_budget = kIlpNodeCap;
     for (size_t vi = 0; vi < fleet.size() && node_budget > 0; ++vi) {
       if (!fsoa->in_service[vi]) continue;  // downtime: no new work
       gopts.max_groups = static_cast<size_t>(node_budget);

@@ -26,8 +26,6 @@ struct DispatchConfig {
   int vehicle_capacity = 4;
   GroupingOptions grouping;
   ShareGraphBuilderOptions sharegraph;
-  /// Global cap on enumerated trip nodes per batch (RTV's ILP size guard).
-  int64_t ilp_node_cap = 200000;
   int num_threads = 1;
   /// SARD: evaluate the acceptance stage on worker threads (per-vehicle
   /// decisions are independent, so results are thread-count invariant).
@@ -58,10 +56,6 @@ struct DispatchConfig {
   /// shards never contend on a cache lock and per-shard sp_queries stay
   /// exact.
   size_t shard_cache_capacity = 0;
-  /// Lock stripes per partition (0 = 16; intra-shard parallelism is bounded
-  /// by SARD's acceptance stage, so partitions need fewer stripes than the
-  /// 64-way root cache).
-  size_t shard_cache_stripes = 0;
 };
 
 /// An empty relocation for an idle vehicle (the repositioning hook,

@@ -1,6 +1,6 @@
 // Plain and bidirectional Dijkstra over a RoadNetwork. These are the
-// reference backends: exact, index-free, and the ground truth the indexed
-// oracles (hub labels, contraction hierarchies) are tested against.
+// reference backends: exact, index-free, and the ground truth the hub-label
+// oracle is tested against.
 
 #pragma once
 

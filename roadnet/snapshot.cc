@@ -19,7 +19,8 @@ constexpr size_t kHeaderBytes = 64;
 constexpr size_t kSectionAlign = 4096;
 constexpr uint32_t kMaxSections = 64;
 
-// Section ids (see snapshot.h).
+// Section ids (see snapshot.h). Ids 7-9 held the retired CH index; the
+// loader now skips them like any other unknown id.
 enum SectionId : uint32_t {
   kPositions = 1,
   kCsrOffsets = 2,
@@ -27,9 +28,7 @@ enum SectionId : uint32_t {
   kHlOffsets = 4,
   kHlRanks = 5,
   kHlDists = 6,
-  kChUpOffsets = 7,
-  kChUpArcs = 8,
-  kChRank = 9,
+  kNumSectionIds = 7,  ///< one past the last known id
 };
 
 struct Header {
@@ -41,7 +40,7 @@ struct Header {
   uint64_t num_nodes;
   uint64_t num_edges;
   uint64_t hl_total_entries;
-  uint64_t ch_num_shortcuts;
+  uint64_t reserved;   ///< was the CH shortcut count; written as 0
 };
 static_assert(sizeof(Header) == kHeaderBytes, "header must be 64 bytes");
 
@@ -53,16 +52,11 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 24, "section entry must be 24 bytes");
 
-// Both arc structs serialize as 16 raw bytes with the 4 padding bytes
-// zeroed by the writer, so files are byte-reproducible.
+// An arc serializes as 16 raw bytes with the 4 padding bytes zeroed by the
+// writer, so files are byte-reproducible.
 static_assert(sizeof(RoadNetwork::Arc) == 16, "arc layout changed");
 static_assert(offsetof(RoadNetwork::Arc, to) == 0, "arc layout changed");
 static_assert(offsetof(RoadNetwork::Arc, cost) == 8, "arc layout changed");
-static_assert(sizeof(ContractionHierarchies::Arc) == 16, "arc layout changed");
-static_assert(offsetof(ContractionHierarchies::Arc, to) == 0,
-              "arc layout changed");
-static_assert(offsetof(ContractionHierarchies::Arc, cost) == 8,
-              "arc layout changed");
 static_assert(sizeof(Point) == 16, "point layout changed");
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
@@ -113,13 +107,13 @@ struct ChecksummedWriter {
 };
 
 // Re-packs an arc array with the struct padding bytes zeroed.
-template <typename ArcT>
-std::vector<uint8_t> PackArcs(Span<const ArcT> arcs) {
-  std::vector<uint8_t> bytes(arcs.size() * sizeof(ArcT), 0);
+std::vector<uint8_t> PackArcs(Span<const RoadNetwork::Arc> arcs) {
+  constexpr size_t kArcBytes = sizeof(RoadNetwork::Arc);
+  std::vector<uint8_t> bytes(arcs.size() * kArcBytes, 0);
   for (size_t i = 0; i < arcs.size(); ++i) {
-    std::memcpy(bytes.data() + i * sizeof(ArcT), &arcs[i].to,
+    std::memcpy(bytes.data() + i * kArcBytes, &arcs[i].to,
                 sizeof(arcs[i].to));
-    std::memcpy(bytes.data() + i * sizeof(ArcT) + 8, &arcs[i].cost,
+    std::memcpy(bytes.data() + i * kArcBytes + 8, &arcs[i].cost,
                 sizeof(arcs[i].cost));
   }
   return bytes;
@@ -212,8 +206,7 @@ bool WriteGraphSnapshot(const RoadNetwork& net,
     size_t size;
   };
   std::vector<PlannedSection> sections;
-  std::vector<uint8_t> packed_csr_arcs =
-      PackArcs<RoadNetwork::Arc>(csr_arcs);
+  std::vector<uint8_t> packed_csr_arcs = PackArcs(csr_arcs);
   sections.push_back({kPositions, positions.data(),
                       positions.size() * sizeof(Point)});
   sections.push_back({kCsrOffsets, csr_offsets.data(),
@@ -221,7 +214,6 @@ bool WriteGraphSnapshot(const RoadNetwork& net,
   sections.push_back(
       {kCsrArcs, packed_csr_arcs.data(), packed_csr_arcs.size()});
 
-  std::vector<uint8_t> packed_up_arcs;
   if (options.hub_labels != nullptr) {
     const HubLabeling& hl = *options.hub_labels;
     sections.push_back({kHlOffsets, hl.label_offsets().data(),
@@ -230,16 +222,6 @@ bool WriteGraphSnapshot(const RoadNetwork& net,
                         hl.rank_plane().size() * sizeof(int32_t)});
     sections.push_back({kHlDists, hl.dist_plane().data(),
                         hl.dist_plane().size() * sizeof(double)});
-  }
-  if (options.ch != nullptr) {
-    const ContractionHierarchies& ch = *options.ch;
-    packed_up_arcs = PackArcs<ContractionHierarchies::Arc>(ch.up_arcs());
-    sections.push_back({kChUpOffsets, ch.up_offsets().data(),
-                        ch.up_offsets().size() * sizeof(uint32_t)});
-    sections.push_back(
-        {kChUpArcs, packed_up_arcs.data(), packed_up_arcs.size()});
-    sections.push_back({kChRank, ch.node_ranks().data(),
-                        ch.node_ranks().size() * sizeof(int32_t)});
   }
 
   // Lay out: header, table, then page-aligned sections.
@@ -269,8 +251,6 @@ bool WriteGraphSnapshot(const RoadNetwork& net,
   header.hl_total_entries = options.hub_labels != nullptr
                                 ? options.hub_labels->TotalLabelEntries()
                                 : 0;
-  header.ch_num_shortcuts =
-      options.ch != nullptr ? options.ch->num_shortcuts() : 0;
   w.Write(&header, sizeof(header));
   w.Write(table.data(), table.size() * sizeof(SectionEntry));
   for (size_t i = 0; i < sections.size(); ++i) {
@@ -306,7 +286,7 @@ struct SectionView {
 };
 
 bool FindSections(const uint8_t* base, size_t file_size, const Header& header,
-                  SectionView out[10], std::string* error) {
+                  SectionView out[kNumSectionIds], std::string* error) {
   const size_t table_off = kHeaderBytes;
   const size_t table_bytes = header.num_sections * sizeof(SectionEntry);
   for (uint32_t i = 0; i < header.num_sections; ++i) {
@@ -329,7 +309,9 @@ bool FindSections(const uint8_t* base, size_t file_size, const Header& header,
                std::to_string(entry.offset) + ")";
       return false;
     }
-    if (entry.id == 0 || entry.id > 9) continue;  // unknown: skip, forward-compat
+    // Unknown (including the retired CH ids 7-9): skip, after the bounds
+    // checks above.
+    if (entry.id == 0 || entry.id >= kNumSectionIds) continue;
     if (out[entry.id].present) {
       *error = "duplicate section " + std::to_string(entry.id);
       return false;
@@ -350,31 +332,30 @@ bool ExpectSize(const SectionView& s, uint32_t id, size_t expected,
   return true;
 }
 
-// Validates a CSR offsets/arcs pair: offsets monotone, final offset equal
-// to the arc count, every target in [0, n).
-template <typename ArcT>
-bool ValidateCsr(Span<const uint32_t> offsets, Span<const ArcT> arcs,
-                 size_t num_nodes, const char* what, std::string* error) {
+// Validates the graph's CSR offsets/arcs pair: offsets monotone, final
+// offset equal to the arc count, every target in [0, n).
+bool ValidateCsr(Span<const uint32_t> offsets,
+                 Span<const RoadNetwork::Arc> arcs, size_t num_nodes,
+                 std::string* error) {
   if (offsets.size() != num_nodes + 1 || offsets[0] != 0) {
-    *error = std::string(what) + " offsets malformed";
+    *error = "graph offsets malformed";
     return false;
   }
   for (size_t v = 0; v < num_nodes; ++v) {
     if (offsets[v + 1] < offsets[v]) {
-      *error = std::string(what) + " offsets not monotone at node " +
-               std::to_string(v);
+      *error = "graph offsets not monotone at node " + std::to_string(v);
       return false;
     }
   }
   if (offsets[num_nodes] != arcs.size()) {
-    *error = std::string(what) + " offsets end at " +
+    *error = "graph offsets end at " +
              std::to_string(offsets[num_nodes]) + " but the arc array has " +
              std::to_string(arcs.size()) + " entries";
     return false;
   }
   for (size_t i = 0; i < arcs.size(); ++i) {
     if (arcs[i].to < 0 || static_cast<size_t>(arcs[i].to) >= num_nodes) {
-      *error = std::string(what) + " arc " + std::to_string(i) +
+      *error = "graph arc " + std::to_string(i) +
                " targets out-of-range node " + std::to_string(arcs[i].to);
       return false;
     }
@@ -430,7 +411,7 @@ bool LoadGraphSnapshot(const std::string& path,
     return false;
   }
 
-  SectionView sections[10];
+  SectionView sections[kNumSectionIds];
   if (!FindSections(base, file_size, header, sections, error)) {
     *error = path + ": " + *error;
     return false;
@@ -467,7 +448,7 @@ bool LoadGraphSnapshot(const std::string& path,
   Span<const RoadNetwork::Arc> csr_arcs(
       reinterpret_cast<const RoadNetwork::Arc*>(sections[kCsrArcs].data),
       2 * m);
-  if (!ValidateCsr(csr_offsets, csr_arcs, n, "graph", error)) {
+  if (!ValidateCsr(csr_offsets, csr_arcs, n, error)) {
     *error = path + ": " + *error;
     return false;
   }
@@ -544,57 +525,9 @@ bool LoadGraphSnapshot(const std::string& path,
                                                  hl_dists, total, src);
   }
 
-  // Optional CH upward CSR: all three sections or none.
-  const bool has_ch = sections[kChUpOffsets].present ||
-                      sections[kChUpArcs].present ||
-                      sections[kChRank].present;
-  std::unique_ptr<ContractionHierarchies> ch;
-  if (has_ch) {
-    if (!sections[kChUpOffsets].present || !sections[kChUpArcs].present ||
-        !sections[kChRank].present) {
-      *error = path + ": partial contraction-hierarchy sections";
-      return false;
-    }
-    if (sections[kChUpArcs].size % sizeof(ContractionHierarchies::Arc) != 0) {
-      *error = path + ": CH arc section size is not a whole arc count";
-      return false;
-    }
-    const size_t num_up =
-        sections[kChUpArcs].size / sizeof(ContractionHierarchies::Arc);
-    if (!ExpectSize(sections[kChUpOffsets], kChUpOffsets,
-                    (n + 1) * sizeof(uint32_t), error) ||
-        !ExpectSize(sections[kChRank], kChRank, n * sizeof(int32_t), error)) {
-      *error = path + ": " + *error;
-      return false;
-    }
-    Span<const uint32_t> up_offsets(
-        reinterpret_cast<const uint32_t*>(sections[kChUpOffsets].data),
-        n + 1);
-    Span<const ContractionHierarchies::Arc> up_arcs(
-        reinterpret_cast<const ContractionHierarchies::Arc*>(
-            sections[kChUpArcs].data),
-        num_up);
-    Span<const int32_t> ch_ranks(
-        reinterpret_cast<const int32_t*>(sections[kChRank].data), n);
-    if (!ValidateCsr(up_offsets, up_arcs, n, "CH", error)) {
-      *error = path + ": " + *error;
-      return false;
-    }
-    for (size_t v = 0; v < n; ++v) {
-      if (ch_ranks[v] < 0 || static_cast<size_t>(ch_ranks[v]) >= n) {
-        *error = path + ": CH rank out of range at node " + std::to_string(v);
-        return false;
-      }
-    }
-    ch = ContractionHierarchies::FromFrozenSections(
-        up_offsets, up_arcs, ch_ranks,
-        static_cast<size_t>(header.ch_num_shortcuts), src);
-  }
-
   out->network =
       RoadNetwork::FromFrozenSections(positions, csr_offsets, csr_arcs, m, src);
   out->hub_labels = std::move(hub_labels);
-  out->ch = std::move(ch);
   return true;
 }
 

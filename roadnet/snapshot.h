@@ -1,5 +1,5 @@
 // Binary graph snapshot persistence: serialize a frozen RoadNetwork plus
-// its preprocessed indices (hub-label arena, CH upward CSR) into one
+// its hub-label arena into one
 // versioned, checksummed container, and load it back — by reading into a
 // heap buffer or by zero-copy mmap — without rebuilding anything.
 //
@@ -11,9 +11,9 @@
 //   [ section 0 bytes ][ padding ][ section 1 bytes ][ padding ] ...
 //
 // Header: magic "SRSNAP1\0", u32 version (currently 1), u32 num_sections,
-// u64 FNV-1a checksum over every byte after the header, u64 file size, and
-// the u64 shape counts (num_nodes, num_edges, hl_total_entries,
-// ch_num_shortcuts) that the section sizes are validated against.
+// u64 FNV-1a checksum over every byte after the header, u64 file size, the
+// u64 shape counts (num_nodes, num_edges, hl_total_entries) that the
+// section sizes are validated against, and a reserved u64 written as 0.
 //
 // Sections are raw arrays in the exact in-memory layout the query paths
 // read (struct padding zeroed at write time so files are byte-reproducible)
@@ -26,9 +26,10 @@
 //   4 hl_offsets     u32[num_nodes]                     (optional)
 //   5 hl_ranks       i32[hl_total_entries + num_nodes]  (optional)
 //   6 hl_dists       f64[hl_total_entries + num_nodes]  (optional)
-//   7 ch_up_offsets  u32[num_nodes + 1]                 (optional)
-//   8 ch_up_arcs     ContractionHierarchies::Arc[]      (optional)
-//   9 ch_rank        i32[num_nodes]                     (optional)
+//
+// Ids 7-9 held a contraction-hierarchy index that is no longer built. Like
+// any unknown id they are bounds-checked and then skipped, so older files
+// that carry them still load (graph and hub labels only).
 //
 // The loader trusts nothing: magic/version/size/checksum first, then every
 // section offset and size (overflow-safe), then the structural invariants
@@ -45,19 +46,17 @@
 #include <memory>
 #include <string>
 
-#include "roadnet/contraction_hierarchies.h"
 #include "roadnet/hub_labeling.h"
 #include "roadnet/road_network.h"
 
 namespace structride {
 
-/// A loaded (or built) graph together with its optional preprocessed
-/// indices. Snapshot loads borrow every buffer from the backing
-/// GraphSource; built bundles own theirs.
+/// A loaded (or built) graph together with its optional hub-label index.
+/// Snapshot loads borrow every buffer from the backing GraphSource; built
+/// bundles own theirs.
 struct GraphBundle {
   RoadNetwork network;
-  std::unique_ptr<HubLabeling> hub_labels;        ///< may be null
-  std::unique_ptr<ContractionHierarchies> ch;     ///< may be null
+  std::unique_ptr<HubLabeling> hub_labels;  ///< may be null
 };
 
 /// The bytes backing a loaded snapshot: either a heap buffer the file was
@@ -88,9 +87,8 @@ class GraphSource {
 };
 
 struct SnapshotWriteOptions {
-  /// Serialize the hub-label arena / CH upward CSR when non-null.
+  /// Serialize the hub-label arena when non-null.
   const HubLabeling* hub_labels = nullptr;
-  const ContractionHierarchies* ch = nullptr;
 };
 
 struct SnapshotLoadOptions {
@@ -98,7 +96,7 @@ struct SnapshotLoadOptions {
   bool use_mmap = false;
 };
 
-/// Serializes \p net (frozen first if needed) plus the optional indices in
+/// Serializes \p net (frozen first if needed) plus the optional index in
 /// \p options into the container described above. Returns false with
 /// \p error set on I/O failure.
 bool WriteGraphSnapshot(const RoadNetwork& net,
@@ -106,8 +104,8 @@ bool WriteGraphSnapshot(const RoadNetwork& net,
                         const std::string& path, std::string* error);
 
 /// Loads a snapshot, validating everything (see file comment). On success
-/// \p out holds a frozen borrowed network plus whichever indices the file
-/// carries; all of them keep the GraphSource alive. Returns false with a
+/// \p out holds a frozen borrowed network plus the hub labels if the file
+/// carries them; both keep the GraphSource alive. Returns false with a
 /// descriptive \p error on any malformed input.
 bool LoadGraphSnapshot(const std::string& path,
                        const SnapshotLoadOptions& options, GraphBundle* out,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "roadnet/contraction_hierarchies.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/hub_labeling.h"
 #include "util/bits.h"
@@ -41,21 +40,11 @@ TravelCostEngine::TravelCostEngine(const RoadNetwork& net,
   // Freeze before any backend build or concurrent use: every search below
   // iterates the CSR spans.
   const_cast<RoadNetwork&>(net_).Freeze();
-  // A prebuilt index (from a loaded snapshot) is adopted as-is; only build
-  // when the selected backend has none.
-  switch (options_.backend) {
-    case TravelCostOptions::Backend::kHubLabeling:
-      if (options_.prebuilt_hub_labels == nullptr) {
-        hub_labels_ = std::make_unique<HubLabeling>(net_);
-      }
-      break;
-    case TravelCostOptions::Backend::kContractionHierarchies:
-      if (options_.prebuilt_ch == nullptr) {
-        ch_ = std::make_unique<ContractionHierarchies>(net_);
-      }
-      break;
-    case TravelCostOptions::Backend::kBidirectionalDijkstra:
-      break;
+  // Prebuilt labels (from a loaded snapshot) are adopted as-is; only build
+  // when the hub-label backend has none.
+  if (options_.backend == TravelCostOptions::Backend::kHubLabeling &&
+      options_.prebuilt_hub_labels == nullptr) {
+    hub_labels_ = std::make_unique<HubLabeling>(net_);
   }
   BuildCache(options_.cache_capacity, options_.cache_shards);
 }
@@ -115,8 +104,6 @@ double TravelCostEngine::BackendCost(NodeId s, NodeId t) const {
   switch (options_.backend) {
     case TravelCostOptions::Backend::kHubLabeling:
       return Hl()->Query(s, t);
-    case TravelCostOptions::Backend::kContractionHierarchies:
-      return Ch()->Query(s, t);
     case TravelCostOptions::Backend::kBidirectionalDijkstra:
       return BidirectionalDijkstra(net_, s, t);
   }
@@ -145,7 +132,7 @@ double TravelCostEngine::Cost(NodeId s, NodeId t) const {
 void TravelCostEngine::CostMany(NodeId source, Span<const NodeId> targets,
                                 double* out) const {
   // Pinned-source fast path only when hub labels are the selected backend
-  // (a bundle may carry a prebuilt HL next to a CH engine; accounting must
+  // (prebuilt labels may sit next to a Dijkstra engine; accounting must
   // match the configured backend).
   const HubLabeling* hl =
       options_.backend == TravelCostOptions::Backend::kHubLabeling ? Hl()
@@ -242,11 +229,10 @@ double TravelCostEngine::CacheHitRate() const {
 
 size_t TravelCostEngine::MemoryBytes() const {
   size_t bytes = 0;
-  // Count whichever index the engine actually queries — owned or adopted
-  // from a snapshot (the root engine charges adopted indices once).
+  // Count the hub labels whether owned or adopted from a snapshot (the root
+  // engine charges adopted labels once).
   if (parent_ == nullptr) {
     if (const HubLabeling* hl = Hl()) bytes += hl->MemoryBytes();
-    if (const ContractionHierarchies* ch = Ch()) bytes += ch->MemoryBytes();
   }
   for (const auto& shard : shards_) {
     bytes += shard->lru.MemoryBytes() + sizeof(Shard);

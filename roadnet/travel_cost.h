@@ -1,7 +1,9 @@
 // The travel-cost oracle every layer above roadnet/ programs against: a
-// point-to-point shortest-path backend (hub labels by default, matching the
-// paper's setup) behind a lock-striped, sharded LRU cache with exact,
-// race-free query accounting so benches can report #SP queries per run.
+// point-to-point shortest-path backend behind a lock-striped, sharded LRU
+// cache with exact, race-free query accounting so benches can report #SP
+// queries per run. Two backends: hub labels (the default, matching the
+// paper's setup; ~1 us cold) and index-free bidirectional Dijkstra, the
+// reference the labels are tested against.
 //
 // Concurrency contract (DESIGN.md §"Concurrency model"):
 //  - The network is undirected and every backend is symmetric, so the cache
@@ -36,12 +38,10 @@
 namespace structride {
 
 class HubLabeling;
-class ContractionHierarchies;
 
 struct TravelCostOptions {
   enum class Backend {
     kHubLabeling,
-    kContractionHierarchies,
     kBidirectionalDijkstra,
   };
   Backend backend = Backend::kHubLabeling;
@@ -49,12 +49,11 @@ struct TravelCostOptions {
   size_t cache_capacity = 1u << 20;
   /// Lock stripes; rounded up to a power of two, clamped to >= 1.
   size_t cache_shards = 64;
-  /// Already-built indices to adopt instead of rebuilding — how a
-  /// snapshot-loaded GraphBundle's preprocessed sections are plugged in.
-  /// Used only when the matching backend is selected; must outlive the
-  /// engine (and any partitions).
+  /// Already-built hub labels to adopt instead of rebuilding — how a
+  /// snapshot-loaded GraphBundle's label sections are plugged in. Used only
+  /// with the hub-label backend; must outlive the engine (and any
+  /// partitions).
   const HubLabeling* prebuilt_hub_labels = nullptr;
-  const ContractionHierarchies* prebuilt_ch = nullptr;
 };
 
 class TravelCostEngine {
@@ -127,10 +126,6 @@ class TravelCostEngine {
                ? options_.prebuilt_hub_labels
                : hub_labels_.get();
   }
-  const ContractionHierarchies* Ch() const {
-    if (parent_ != nullptr) return parent_->Ch();
-    return options_.prebuilt_ch != nullptr ? options_.prebuilt_ch : ch_.get();
-  }
   /// This engine's own cache counters, partitions excluded.
   uint64_t OwnQueries() const;
   uint64_t OwnLookups() const;
@@ -139,7 +134,6 @@ class TravelCostEngine {
   const RoadNetwork& net_;
   TravelCostOptions options_;
   std::unique_ptr<HubLabeling> hub_labels_;
-  std::unique_ptr<ContractionHierarchies> ch_;
 
   mutable std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;

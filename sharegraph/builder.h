@@ -9,22 +9,18 @@
 // overestimates, the pruned graph is identical to the unpruned one — only
 // cheaper to build.
 //
-// Lifetimes and the per-pair memo: a pair (a, b) is exactly-checked at most
-// once per request lifetime. While both requests stay in the builder the
-// structure guarantees it (AddRequests only examines new-vs-present pairs);
-// on builders that outlive a batch (set_memoize_pairs) the memo records
-// every exact check and answers any re-presentation of a live pair without
-// touching the travel-cost engine. Removing a request
-// ends its lifetime: its memo entries are purged through a reverse partner
-// index, both directions of every pair (degree-bounded, like the graph),
-// so a removed-and-re-added request is re-evaluated from scratch — request
-// data is immutable, but the lifetime rule keeps the memo's footprint
-// proportional to the live pair set.
+// Lifetimes: a pair (a, b) is exactly-checked at most once per request
+// lifetime, by construction rather than by bookkeeping. AddRequests skips
+// ids already present and pairs each newly added request only with the
+// requests added before it (earlier batches, then earlier members of its
+// own batch), so a pair is examined exactly once: when the later of its two
+// requests arrives. A pair can be examined again only if one of its
+// requests leaves (RemoveRequest ends its lifetime) and is then re-added,
+// which starts a new lifetime and re-evaluates its pairs from scratch.
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -73,9 +69,8 @@ class ShareGraphBuilder {
   }
 
   /// Removes one request: its node and edges leave the graph in O(degree)
-  /// via the adjacency lists, its memo entries are purged (both
-  /// directions) through the reverse partner index, and its slot in the
-  /// insertion order is tombstoned (compacted lazily). Unknown ids are
+  /// via the adjacency lists, and its slot in the insertion order is
+  /// tombstoned (compacted lazily). Unknown ids are
   /// ignored, so lifecycle events may fire for requests that never
   /// reached a dispatch round. Returns whether the request was present —
   /// under geo-sharding a lifecycle event retires a request from every
@@ -101,14 +96,6 @@ class ShareGraphBuilder {
   /// serially. Not owned; the caller keeps it alive across calls.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
-  /// Record AddRequests' exact-check outcomes in the per-pair memo. On for
-  /// builders that outlive a batch (the engine's run-scoped builder,
-  /// SARD's private one); off (the default) for per-batch throwaways,
-  /// where a memo can never be consulted again and would only cost
-  /// hot-loop inserts and instrumented bytes. CheckedShareable memoizes
-  /// regardless — that is its contract.
-  void set_memoize_pairs(bool on) { memoize_pairs_ = on; }
-
   const ShareGraph& graph() const { return graph_; }
   ShareGraph* mutable_graph() { return &graph_; }
 
@@ -118,41 +105,17 @@ class ShareGraphBuilder {
 
   /// Exact pairwise test: can one two-seat vehicle serve both requests with
   /// overlapping rides, within both deadlines? Costs shortest-path queries.
-  /// Bypasses the memo; prefer CheckedShareable for repeated probing.
   bool Shareable(const Request& a, const Request& b) const;
-
-  /// Memoized exact test for requests present in the builder: the first
-  /// call per pair lifetime evaluates (counted in pair_checks()), repeats
-  /// answer from the memo (counted in memo_hits()) without shortest-path
-  /// queries.
-  bool CheckedShareable(RequestId a, RequestId b);
 
   /// Pairs short-circuited by the angle screen (no shortest-path queries).
   uint64_t pruned_pairs() const { return pruned_pairs_; }
   /// Exact pairwise feasibility evaluations (Shareable runs) performed —
   /// the redundancy metric the incremental-vs-rebuild bench gates on.
   uint64_t pair_checks() const { return pair_checks_; }
-  /// Pairs whose exact outcome was answered from the memo.
-  uint64_t memo_hits() const { return memo_hits_; }
 
   size_t MemoryBytes() const;
 
  private:
-  /// Canonical (min, max) key for the pair memo.
-  struct PairKey {
-    RequestId lo = 0;
-    RequestId hi = 0;
-    bool operator==(const PairKey& o) const {
-      return lo == o.lo && hi == o.hi;
-    }
-  };
-  struct PairKeyHasher {
-    size_t operator()(const PairKey& k) const;
-  };
-  static PairKey MakeKey(RequestId a, RequestId b);
-
-  void RecordMemo(RequestId a, RequestId b, bool shareable);
-
   bool AngleWide(const Request& a, const Request& b) const;
   /// False only when the pair is provably unshareable under the Euclidean
   /// lower-bound metric.
@@ -170,14 +133,8 @@ class ShareGraphBuilder {
   /// requests_, so graph_.Nodes() IS the insertion order of the live set.
   ShareGraph graph_;
   std::unordered_map<RequestId, Request> requests_;
-  /// Exact-check outcomes for live pairs, plus the reverse partner index
-  /// that makes purging a removed request's entries O(its memo degree).
-  std::unordered_map<PairKey, bool, PairKeyHasher> memo_;
-  std::unordered_map<RequestId, std::vector<RequestId>> memo_partners_;
-  bool memoize_pairs_ = false;
   uint64_t pruned_pairs_ = 0;
   uint64_t pair_checks_ = 0;
-  uint64_t memo_hits_ = 0;
 };
 
 }  // namespace structride

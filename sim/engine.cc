@@ -25,6 +25,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Lock stripes per shard cache partition: intra-shard parallelism is bounded
+// by SARD's acceptance stage, so partitions need fewer stripes than the
+// 64-way root cache.
+constexpr size_t kPartitionStripes = 16;
+
 // Nearest-rank percentile over an ascending-sorted sample; 0 when empty.
 double NearestRank(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
@@ -435,7 +440,6 @@ RunMetrics SimulationEngine::EventRun::Execute() {
     sh->dispatcher = MakeDispatcher(algorithm_, config_);
     sh->sharegraph = std::make_unique<ShareGraphBuilder>(ShardEngine(*sh),
                                                          config_.sharegraph);
-    sh->sharegraph->set_memoize_pairs(true);
     shards_.push_back(std::move(sh));
   }
   shard_task_ = [this](size_t s) { RunShardBatch(*shards_[s], round_online_); };
@@ -1216,19 +1220,17 @@ void SimulationEngine::EnsureCachePartitions(int num_shards,
         1024, engine_->options().cache_capacity /
                   static_cast<size_t>(std::max(1, num_shards)));
   }
-  const size_t stripes =
-      config.shard_cache_stripes != 0 ? config.shard_cache_stripes : 16;
   if (cache_partitions_.size() == static_cast<size_t>(num_shards) &&
-      partition_capacity_ == capacity && partition_stripes_ == stripes) {
+      partition_capacity_ == capacity) {
     return;  // shape unchanged — keep the warm partitions
   }
   cache_partitions_.clear();
   cache_partitions_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    cache_partitions_.push_back(engine_->MakeCachePartition(capacity, stripes));
+    cache_partitions_.push_back(
+        engine_->MakeCachePartition(capacity, kPartitionStripes));
   }
   partition_capacity_ = capacity;
-  partition_stripes_ = stripes;
 }
 
 }  // namespace structride

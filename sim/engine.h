@@ -216,7 +216,6 @@ class SimulationEngine {
   /// engine, and destruction order follows.
   std::vector<std::unique_ptr<TravelCostEngine>> cache_partitions_;
   size_t partition_capacity_ = 0;
-  size_t partition_stripes_ = 0;
 };
 
 }  // namespace structride

@@ -1,6 +1,6 @@
 // A complete DispatchContext for driving one dispatcher by hand, built the
-// way the simulation engine builds each shard's: a memoizing run-scoped
-// share graph, a batch arena rewound every round, and SoA planes refreshed
+// way the simulation engine builds each shard's: a run-scoped share graph,
+// a batch arena rewound every round, and SoA planes refreshed
 // every round over the fleet and ctx.pending.
 
 #pragma once
@@ -18,7 +18,6 @@ struct BatchContext {
   BatchContext(TravelCostEngine* engine, std::vector<Vehicle>* fleet,
                const DispatchConfig& config)
       : sharegraph(engine, config.sharegraph) {
-    sharegraph.set_memoize_pairs(true);
     ctx.engine = engine;
     ctx.fleet = fleet;
     ctx.sharegraph = &sharegraph;

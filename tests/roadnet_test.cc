@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "roadnet/astar.h"
-#include "roadnet/contraction_hierarchies.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/flat_lru.h"
 #include "roadnet/generator.h"
@@ -52,7 +51,6 @@ TEST(RoadnetTest, EdgeCostsDominateEuclid) {
 TEST(RoadnetTest, AllBackendsMatchDijkstra) {
   const RoadNetwork& net = Net();
   HubLabeling hl(net);
-  ContractionHierarchies ch(net);
   Rng rng(5);
   for (int trial = 0; trial < 60; ++trial) {
     NodeId s = static_cast<NodeId>(
@@ -64,7 +62,6 @@ TEST(RoadnetTest, AllBackendsMatchDijkstra) {
     EXPECT_NEAR(BidirectionalDijkstra(net, s, t), expected, 1e-6);
     EXPECT_NEAR(AStarCost(net, s, t), expected, 1e-6);
     EXPECT_NEAR(hl.Query(s, t), expected, 1e-6);
-    EXPECT_NEAR(ch.Query(s, t), expected, 1e-6);
     EXPECT_LE(net.EuclidLowerBound(s, t), expected + 1e-9);
   }
 }
@@ -74,7 +71,6 @@ TEST(RoadnetTest, EngineBackendsMatchAndCacheCountsMisses) {
   std::vector<double> ref = DijkstraAll(net, 0);
 
   for (auto backend : {TravelCostOptions::Backend::kHubLabeling,
-                       TravelCostOptions::Backend::kContractionHierarchies,
                        TravelCostOptions::Backend::kBidirectionalDijkstra}) {
     TravelCostOptions options;
     options.backend = backend;
@@ -226,7 +222,6 @@ TEST(RoadnetTest, RandomGridBackendEquivalence) {
     RoadNetwork net = GenerateGridCity(opt);
     EXPECT_TRUE(net.frozen());
     HubLabeling hl(net);
-    ContractionHierarchies ch(net);
     Rng rng(seed);
     for (int trial = 0; trial < 25; ++trial) {
       NodeId s = static_cast<NodeId>(
@@ -238,7 +233,6 @@ TEST(RoadnetTest, RandomGridBackendEquivalence) {
       EXPECT_NEAR(BidirectionalDijkstra(net, s, t), expected, 1e-6);
       EXPECT_NEAR(AStarCost(net, s, t), expected, 1e-6);
       EXPECT_NEAR(hl.Query(s, t), expected, 1e-6);
-      EXPECT_NEAR(ch.Query(s, t), expected, 1e-6);
     }
   }
 }
@@ -260,11 +254,9 @@ TEST(RoadnetTest, DisconnectedComponentsReportInfinity) {
     net.AddEdge(base + 2, base + 3, 1.4);
   }
   HubLabeling hl(net);
-  ContractionHierarchies ch(net);
   for (NodeId s = 0; s < 4; ++s) {
     for (NodeId t = 4; t < 8; ++t) {
       EXPECT_EQ(hl.Query(s, t), kInf);
-      EXPECT_EQ(ch.Query(s, t), kInf);
       EXPECT_EQ(BidirectionalDijkstra(net, s, t), kInf);
       EXPECT_EQ(AStarCost(net, s, t), kInf);
     }
@@ -277,7 +269,6 @@ TEST(RoadnetTest, DisconnectedComponentsReportInfinity) {
         EXPECT_EQ(hl.Query(s, t), kInf);
       } else {
         EXPECT_NEAR(hl.Query(s, t), expected, 1e-9);
-        EXPECT_NEAR(ch.Query(s, t), expected, 1e-9);
       }
     }
   }
@@ -299,7 +290,6 @@ TEST(RoadnetTest, DisconnectedComponentsReportInfinity) {
 TEST(RoadnetTest, CostManyMatchesRepeatedCost) {
   const RoadNetwork& net = Net();
   for (auto backend : {TravelCostOptions::Backend::kHubLabeling,
-                       TravelCostOptions::Backend::kContractionHierarchies,
                        TravelCostOptions::Backend::kBidirectionalDijkstra}) {
     TravelCostOptions options;
     options.backend = backend;

@@ -1,9 +1,10 @@
 // Binary snapshot persistence: lossless round-trips (bitwise-identical
 // costs from every backend, identical engine sp_queries, loaded vs built),
-// byte-reproducible writes, zero-copy mmap loads, and adversarial inputs —
-// truncation, checksum flips, wrong magic/version, out-of-bounds section
-// offsets, corrupt section contents — each failing loudly through the error
-// return, never reading out of bounds.
+// byte-reproducible writes, zero-copy mmap loads, files carrying the retired
+// section ids 7-9 still loading, and adversarial inputs — truncation,
+// checksum flips, wrong magic/version, out-of-bounds section offsets,
+// corrupt section contents — each failing loudly through the error return,
+// never reading out of bounds.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "roadnet/astar.h"
-#include "roadnet/contraction_hierarchies.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/generator.h"
 #include "roadnet/hub_labeling.h"
@@ -59,14 +59,21 @@ uint32_t NumSections(const std::string& bytes) {
   return n;
 }
 
+// Byte offset of the i-th section-table entry.
+size_t EntryOffset(uint32_t i) { return kHeaderBytes + i * kEntryBytes; }
+
+uint32_t EntryId(const std::string& bytes, uint32_t i) {
+  uint32_t id;
+  std::memcpy(&id, bytes.data() + EntryOffset(i), sizeof(id));
+  return id;
+}
+
 // Finds the file offset of section \p id's payload (0 if absent).
 uint64_t SectionOffset(const std::string& bytes, uint32_t id,
                        uint64_t* size = nullptr) {
   for (uint32_t i = 0; i < NumSections(bytes); ++i) {
-    uint32_t entry_id;
-    const char* entry = bytes.data() + kHeaderBytes + i * kEntryBytes;
-    std::memcpy(&entry_id, entry, sizeof(entry_id));
-    if (entry_id != id) continue;
+    if (EntryId(bytes, i) != id) continue;
+    const char* entry = bytes.data() + EntryOffset(i);
     uint64_t off;
     std::memcpy(&off, entry + 8, sizeof(off));
     if (size != nullptr) std::memcpy(size, entry + 16, sizeof(*size));
@@ -95,14 +102,12 @@ RoadNetwork MakeFixture() {
   return net;
 }
 
-// Writes net (+ freshly built HL and CH) to \p path and returns the loaded
-// bundle. EXPECT-fails on any error.
+// Writes net (+ freshly built HL) to \p path and returns the loaded bundle.
+// EXPECT-fails on any error.
 GraphBundle RoundTrip(const RoadNetwork& net, const HubLabeling& hl,
-                      const ContractionHierarchies& ch,
                       const std::string& path, bool use_mmap) {
   SnapshotWriteOptions wopts;
   wopts.hub_labels = &hl;
-  wopts.ch = &ch;
   std::string error;
   EXPECT_TRUE(WriteGraphSnapshot(net, wopts, path, &error)) << error;
   GraphBundle bundle;
@@ -115,15 +120,12 @@ GraphBundle RoundTrip(const RoadNetwork& net, const HubLabeling& hl,
 // The loss-less contract: on sampled pairs, every backend on the loaded
 // graph returns the bitwise-identical cost the in-memory original returns.
 void ExpectBitwiseEqualBackends(const RoadNetwork& net, const HubLabeling& hl,
-                                const ContractionHierarchies& ch,
                                 const GraphBundle& loaded, uint64_t seed) {
   ASSERT_EQ(loaded.network.num_nodes(), net.num_nodes());
   ASSERT_EQ(loaded.network.num_edges(), net.num_edges());
   ASSERT_NE(loaded.hub_labels, nullptr);
-  ASSERT_NE(loaded.ch, nullptr);
   EXPECT_TRUE(loaded.network.borrowed());
   EXPECT_EQ(loaded.hub_labels->TotalLabelEntries(), hl.TotalLabelEntries());
-  EXPECT_EQ(loaded.ch->num_shortcuts(), ch.num_shortcuts());
 
   Rng rng(seed);
   const int64_t n = static_cast<int64_t>(net.num_nodes());
@@ -138,7 +140,6 @@ void ExpectBitwiseEqualBackends(const RoadNetwork& net, const HubLabeling& hl,
     EXPECT_EQ(DijkstraAll(loaded.network, s)[static_cast<size_t>(t)],
               DijkstraAll(net, s)[static_cast<size_t>(t)]);
     EXPECT_EQ(loaded.hub_labels->Query(s, t), hl.Query(s, t));
-    EXPECT_EQ(loaded.ch->Query(s, t), ch.Query(s, t));
   }
 }
 
@@ -149,11 +150,10 @@ TEST(SnapshotTest, RoundTripIsLosslessOnGridAndFixture) {
     RoadNetwork net = make();
     net.Freeze();
     HubLabeling hl(net);
-    ContractionHierarchies ch(net);
     std::string path = TempPath("rt" + std::to_string(source) + ".snap");
     for (bool use_mmap : {false, true}) {
-      GraphBundle loaded = RoundTrip(net, hl, ch, path, use_mmap);
-      ExpectBitwiseEqualBackends(net, hl, ch, loaded,
+      GraphBundle loaded = RoundTrip(net, hl, path, use_mmap);
+      ExpectBitwiseEqualBackends(net, hl, loaded,
                                  1234u + static_cast<uint64_t>(source));
     }
     ++source;
@@ -164,12 +164,11 @@ TEST(SnapshotTest, LoadedEngineMatchesRebuiltEngineQueryForQuery) {
   RoadNetwork net = MakeFixture();
   net.Freeze();
   HubLabeling hl(net);
-  ContractionHierarchies ch(net);
   std::string path = TempPath("engine.snap");
-  GraphBundle loaded = RoundTrip(net, hl, ch, path, /*use_mmap=*/true);
+  GraphBundle loaded = RoundTrip(net, hl, path, /*use_mmap=*/true);
 
   for (auto backend : {TravelCostOptions::Backend::kHubLabeling,
-                       TravelCostOptions::Backend::kContractionHierarchies}) {
+                       TravelCostOptions::Backend::kBidirectionalDijkstra}) {
     TravelCostOptions built_opts;
     built_opts.backend = backend;
     TravelCostEngine built(net, built_opts);
@@ -177,7 +176,6 @@ TEST(SnapshotTest, LoadedEngineMatchesRebuiltEngineQueryForQuery) {
     TravelCostOptions loaded_opts;
     loaded_opts.backend = backend;
     loaded_opts.prebuilt_hub_labels = loaded.hub_labels.get();
-    loaded_opts.prebuilt_ch = loaded.ch.get();
     TravelCostEngine adopted(loaded.network, loaded_opts);
 
     // Same query sequence (with repeats, so hits happen) must produce
@@ -205,10 +203,8 @@ TEST(SnapshotTest, LoadedEngineMatchesRebuiltEngineQueryForQuery) {
 TEST(SnapshotTest, WritesAreByteReproducible) {
   RoadNetwork net = MakeGrid();
   HubLabeling hl(net);
-  ContractionHierarchies ch(net);
   SnapshotWriteOptions wopts;
   wopts.hub_labels = &hl;
-  wopts.ch = &ch;
   std::string error;
   std::string p1 = TempPath("repro1.snap"), p2 = TempPath("repro2.snap");
   ASSERT_TRUE(WriteGraphSnapshot(net, wopts, p1, &error)) << error;
@@ -225,9 +221,80 @@ TEST(SnapshotTest, GraphOnlySnapshotLoadsWithoutIndices) {
   GraphBundle bundle;
   ASSERT_TRUE(LoadGraphSnapshot(path, {}, &bundle, &error)) << error;
   EXPECT_EQ(bundle.hub_labels, nullptr);
-  EXPECT_EQ(bundle.ch, nullptr);
   EXPECT_EQ(BidirectionalDijkstra(bundle.network, 0, 63),
             BidirectionalDijkstra(net, 0, 63));
+}
+
+// Rewrites every section-table entry whose id is \p from to \p to.
+void RelabelSection(std::string* bytes, uint32_t from, uint32_t to) {
+  for (uint32_t i = 0; i < NumSections(*bytes); ++i) {
+    if (EntryId(*bytes, i) != from) continue;
+    std::memcpy(&(*bytes)[EntryOffset(i)], &to, sizeof(to));
+  }
+}
+
+// Ids 7-9 carried a contraction-hierarchy index in files written before it
+// was retired. Such files must still load: the three sections are skipped
+// like any unknown id. Relabelling the hub-label sections 4-6 to 7-9 gives a
+// file with exactly that shape.
+TEST(SnapshotTest, RetiredSectionIdsAreSkipped) {
+  RoadNetwork net = MakeGrid();
+  HubLabeling hl(net);
+  SnapshotWriteOptions wopts;
+  wopts.hub_labels = &hl;
+  std::string path = TempPath("retired.snap");
+  std::string error;
+  ASSERT_TRUE(WriteGraphSnapshot(net, wopts, path, &error)) << error;
+  std::string bytes = Slurp(path);
+  for (uint32_t id : {4u, 5u, 6u}) RelabelSection(&bytes, id, id + 3);
+  Spit(path, bytes);
+  ASSERT_TRUE(RewriteSnapshotChecksum(path, &error)) << error;
+
+  for (bool use_mmap : {false, true}) {
+    GraphBundle bundle;
+    SnapshotLoadOptions lopts;
+    lopts.use_mmap = use_mmap;
+    ASSERT_TRUE(LoadGraphSnapshot(path, lopts, &bundle, &error)) << error;
+    EXPECT_EQ(bundle.hub_labels, nullptr);
+    ASSERT_EQ(bundle.network.num_nodes(), net.num_nodes());
+    ASSERT_EQ(bundle.network.num_edges(), net.num_edges());
+    Span<const RoadNetwork::Arc> got = bundle.network.csr_arcs();
+    Span<const RoadNetwork::Arc> want = net.csr_arcs();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].to, want[i].to);
+      EXPECT_EQ(got[i].cost, want[i].cost);
+    }
+    Span<const uint32_t> got_offsets = bundle.network.csr_offsets();
+    Span<const uint32_t> want_offsets = net.csr_offsets();
+    ASSERT_EQ(got_offsets.size(), want_offsets.size());
+    for (size_t v = 0; v < want_offsets.size(); ++v) {
+      EXPECT_EQ(got_offsets[v], want_offsets[v]);
+    }
+    for (size_t v = 0; v < net.num_nodes(); ++v) {
+      const NodeId id = static_cast<NodeId>(v);
+      EXPECT_EQ(bundle.network.position(id).x, net.position(id).x);
+      EXPECT_EQ(bundle.network.position(id).y, net.position(id).y);
+    }
+  }
+
+  // Skipped ids are bounds-checked first: a retired section pointing past
+  // EOF still fails the load.
+  std::string bad = Slurp(path);
+  bool moved = false;
+  for (uint32_t i = 0; i < NumSections(bad); ++i) {
+    if (EntryId(bad, i) != 8) continue;
+    uint64_t huge = (bad.size() / 4096 + 16) * 4096;
+    std::memcpy(&bad[EntryOffset(i) + 8], &huge, sizeof(huge));
+    moved = true;
+  }
+  ASSERT_TRUE(moved);
+  std::string bad_path = TempPath("retired_oob.snap");
+  Spit(bad_path, bad);
+  ASSERT_TRUE(RewriteSnapshotChecksum(bad_path, &error)) << error;
+  GraphBundle bundle;
+  EXPECT_FALSE(LoadGraphSnapshot(bad_path, {}, &bundle, &error));
+  EXPECT_NE(error.find("out of bounds"), std::string::npos) << error;
 }
 
 // ------------------------------------------------------- adversarial ----
@@ -237,10 +304,8 @@ class SnapshotAdversarialTest : public testing::Test {
   void SetUp() override {
     RoadNetwork net = MakeGrid();
     HubLabeling hl(net);
-    ContractionHierarchies ch(net);
     SnapshotWriteOptions wopts;
     wopts.hub_labels = &hl;
-    wopts.ch = &ch;
     path_ = TempPath("adv.snap");
     std::string error;
     ASSERT_TRUE(WriteGraphSnapshot(net, wopts, path_, &error)) << error;
