@@ -7,7 +7,8 @@ namespace structride {
 
 FlatLru::FlatLru(size_t capacity) {
   if (capacity == 0) capacity = 1;
-  entries_.resize(capacity);
+  capacity_ = capacity;
+  entries_.reserve(capacity);
   // <= 50% load keeps linear-probe chains short even at full capacity.
   size_t buckets = RoundUpPow2(capacity * 2);
   table_.assign(buckets, -1);
@@ -87,7 +88,7 @@ void FlatLru::EraseBucket(size_t b) {
 std::optional<uint64_t> FlatLru::Insert(uint64_t key, double value) {
   std::optional<uint64_t> evicted;
   int32_t idx;
-  if (size_ == entries_.size()) {
+  if (entries_.size() == capacity_) {
     // Full: reuse the LRU entry's pool slot.
     idx = tail_;
     Entry& victim = entries_[static_cast<size_t>(idx)];
@@ -100,8 +101,8 @@ std::optional<uint64_t> FlatLru::Insert(uint64_t key, double value) {
       head_ = -1;
     }
   } else {
-    idx = static_cast<int32_t>(size_);
-    ++size_;
+    idx = static_cast<int32_t>(entries_.size());
+    entries_.emplace_back();
   }
 
   Entry& e = entries_[static_cast<size_t>(idx)];

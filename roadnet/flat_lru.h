@@ -3,7 +3,9 @@
 // with intrusive MRU/LRU links plus an open-addressing index (linear
 // probing, backward-shift deletion). All memory is reserved at construction
 // and no operation allocates, so a cache hit touches two cache lines
-// instead of the old std::list + std::unordered_map node chase.
+// instead of the old std::list + std::unordered_map node chase. The pool is
+// reserved but not written: each insert appends one slot until the pool is
+// full, so a cache pays for the entries it holds, not for its capacity.
 //
 // Semantics match the list-based shard it replaced exactly (tests pin the
 // parity): Find touches the entry most-recently-used, Insert evicts the
@@ -22,7 +24,8 @@ namespace structride {
 class FlatLru {
  public:
   /// Reserves the entry pool and index for \p capacity entries (clamped to
-  /// >= 1). Nothing allocates after this.
+  /// >= 1). Nothing allocates after this; pool slots are first written by
+  /// the inserts that fill them.
   explicit FlatLru(size_t capacity);
 
   /// Value stored under \p key, touched most-recently-used; nullptr when
@@ -33,10 +36,10 @@ class FlatLru {
   /// least-recently-used entry when full. Returns the evicted key, if any.
   std::optional<uint64_t> Insert(uint64_t key, double value);
 
-  size_t size() const { return size_; }
-  size_t capacity() const { return entries_.size(); }
+  size_t size() const { return entries_.size(); }
+  size_t capacity() const { return capacity_; }
 
-  /// Exact bytes of the two flat buffers (they never grow).
+  /// Exact bytes of the two flat buffers as reserved (they never grow).
   size_t MemoryBytes() const {
     return entries_.capacity() * sizeof(Entry) +
            table_.capacity() * sizeof(int32_t);
@@ -58,11 +61,13 @@ class FlatLru {
   /// chain stays contiguous.
   void EraseBucket(size_t b);
 
-  std::vector<Entry> entries_;  ///< fixed pool; slot of an entry never moves
+  /// Pool reserved for capacity_ entries, grown by append until full; the
+  /// slot of an entry never moves.
+  std::vector<Entry> entries_;
   std::vector<int32_t> table_;  ///< open addressing: entry index or -1
+  size_t capacity_ = 0;
   size_t mask_ = 0;
   int shift_ = 0;
-  size_t size_ = 0;
   int32_t head_ = -1;  ///< most recently used
   int32_t tail_ = -1;  ///< least recently used
 };

@@ -95,7 +95,6 @@ std::vector<NodeId> QuadtreeCenterOrder(const RoadNetwork& net) {
 
 HubLabeling::HubLabeling(const RoadNetwork& net) {
   size_t n = net.num_nodes();
-  num_nodes_ = n;
   std::vector<NodeId> order = QuadtreeCenterOrder(net);
 
   // Labels grow across hub rounds at arbitrary nodes, so the build works on
@@ -106,33 +105,34 @@ HubLabeling::HubLabeling(const RoadNetwork& net) {
   };
   std::vector<std::vector<BuildEntry>> labels(n);
 
-  // Query restricted to already-built labels (used for pruning).
-  auto pruned_query = [&](NodeId s, NodeId t) {
-    const auto& ls = labels[static_cast<size_t>(s)];
-    const auto& lt = labels[static_cast<size_t>(t)];
-    double best = kInf;
-    size_t i = 0, j = 0;
-    while (i < ls.size() && j < lt.size()) {
-      if (ls[i].hub_rank == lt[j].hub_rank) {
-        double d = ls[i].dist + lt[j].dist;
-        if (d < best) best = d;
-        ++i;
-        ++j;
-      } else if (ls[i].hub_rank < lt[j].hub_rank) {
-        ++i;
-      } else {
-        ++j;
+  // Pruned-landmark test (Akiba, Iwata, Yoshida, SIGMOD 2013): with the
+  // root's label spread into a rank-indexed array once per round, u is
+  // certified at d when some hub h of u's label has root_dist[h] + d(u, h)
+  // <= d + 1e-9. Those are the sums a merge join of the two labels takes
+  // the min of, and a min is <= x iff some term is, so the scan prunes
+  // exactly the same nodes. The root's own round entry needs no spreading:
+  // no other label holds that rank yet.
+  std::vector<double> root_dist(n, kInf);
+  auto certified = [&](NodeId u, double d) {
+    const double bound = d + 1e-9;
+    for (const BuildEntry& e : labels[static_cast<size_t>(u)]) {
+      if (root_dist[static_cast<size_t>(e.hub_rank)] + e.dist <= bound) {
+        return true;
       }
     }
-    return best;
+    return false;
   };
 
   std::vector<double> dist(n, kInf);
   std::vector<NodeId> touched;
   using Entry = std::pair<double, NodeId>;
+  // Drained every round, so one heap's storage serves the whole build.
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   for (int32_t rank = 0; rank < static_cast<int32_t>(n); ++rank) {
     NodeId hub = order[static_cast<size_t>(rank)];
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    for (const BuildEntry& e : labels[static_cast<size_t>(hub)]) {
+      root_dist[static_cast<size_t>(e.hub_rank)] = e.dist;
+    }
     dist[static_cast<size_t>(hub)] = 0;
     touched.push_back(hub);
     heap.push({0, hub});
@@ -142,7 +142,7 @@ HubLabeling::HubLabeling(const RoadNetwork& net) {
       if (d > dist[static_cast<size_t>(u)]) continue;
       // Prune: if existing labels already certify a path <= d, the hub adds
       // nothing for u or anything beyond it.
-      if (pruned_query(hub, u) <= d + 1e-9) continue;
+      if (certified(u, d)) continue;
       labels[static_cast<size_t>(u)].push_back({rank, d});
       for (const RoadNetwork::Arc& arc : net.arcs(u)) {
         double nd = d + arc.cost;
@@ -156,12 +156,15 @@ HubLabeling::HubLabeling(const RoadNetwork& net) {
     }
     for (NodeId v : touched) dist[static_cast<size_t>(v)] = kInf;
     touched.clear();
+    for (const BuildEntry& e : labels[static_cast<size_t>(hub)]) {
+      root_dist[static_cast<size_t>(e.hub_rank)] = kInf;
+    }
   }
 
   for (const auto& label : labels) total_entries_ += label.size();
 
   // Flatten: each node's (rank-ascending) run followed by one sentinel, so
-  // the query merge needs no bound checks at all.
+  // label walks need no bound checks at all.
   offsets_.resize(n);
   ranks_.reserve(total_entries_ + n);
   dists_.reserve(total_entries_ + n);
@@ -189,36 +192,25 @@ std::unique_ptr<HubLabeling> HubLabeling::FromFrozenSections(
   hl->ranks_view_ = ranks;
   hl->dists_view_ = dists;
   hl->total_entries_ = total_entries;
-  hl->num_nodes_ = offsets.size();
   hl->payload_ = std::move(payload);
   return hl;
 }
 
 double HubLabeling::Query(NodeId s, NodeId t) const {
   if (s == t) return 0;
-  const int32_t* R = ranks_view_.data();
-  const double* D = dists_view_.data();
-  size_t i = offsets_view_[static_cast<size_t>(s)];
-  size_t j = offsets_view_[static_cast<size_t>(t)];
-  double best = kInf;
-  // Sentinel-terminated merge join: both runs end on kSentinelRank, so the
-  // loop exits on the equality branch and the index advances compile to
-  // branch-free conditional increments over the dense rank plane.
-  for (;;) {
-    const int32_t ra = R[i];
-    const int32_t rb = R[j];
-    if (ra == rb) {
-      if (ra == kSentinelRank) break;
-      const double d = D[i] + D[j];
-      if (d < best) best = d;
-      ++i;
-      ++j;
-    } else {
-      i += ra < rb;
-      j += rb < ra;
-    }
-  }
+  double* scratch = ThreadScratch();
+  PinSource(s, scratch);
+  const double best = QueryPinned(scratch, t);
+  UnpinSource(s, scratch);
   return best;
+}
+
+double* HubLabeling::ThreadScratch() const {
+  // Every slot is +infinity between pins, so growing for a larger labeling
+  // on the same thread only appends more +infinity.
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < num_ranks()) scratch.resize(num_ranks(), kInf);
+  return scratch.data();
 }
 
 void HubLabeling::PinSource(NodeId s, double* scratch) const {
@@ -231,8 +223,8 @@ void HubLabeling::PinSource(NodeId s, double* scratch) const {
 double HubLabeling::QueryPinned(const double* scratch, NodeId t) const {
   double best = kInf;
   // min over the pinned source's hubs ∩ t's hubs: a rank the source does not
-  // label contributes +inf and never wins, so one pass over t's run suffices
-  // and the result is identical to the two-pointer merge in Query.
+  // label contributes +inf and never wins, so one pass over t's run takes
+  // the min of exactly the sums a merge join of the two runs would.
   for (size_t k = offsets_view_[static_cast<size_t>(t)];
        ranks_view_[k] != kSentinelRank; ++k) {
     const double d = scratch[ranks_view_[k]] + dists_view_[k];

@@ -1,5 +1,5 @@
 // Pruned-landmark hub labeling (2-hop cover): the paper's fixed
-// shortest-path substrate. Exact distances via a sorted-label merge join;
+// shortest-path substrate. Exact distances from the labels' common hubs;
 // build via pruned Dijkstra in a hierarchical quadtree-center order (a
 // separator-style order: the node nearest the city center first, then the
 // centers of the four quadrants, and so on — every prefix of the order
@@ -7,13 +7,13 @@
 //
 // Memory layout (DESIGN.md §"Memory layout"): all labels live in one
 // contiguous node-major arena addressed by one offset array, stored as two
-// parallel planes — hub ranks (int32, what the merge join scans, 16 per
-// cache line) and distances (double, only touched on rank matches). Each
-// node's run is terminated by a rank sentinel, so the query walks raw
-// pointers with a single compare per step — no per-node vector headers, no
-// bound checks. The pinned-source API spreads one node's label into a
-// rank-indexed scratch array so one-to-many batches
-// (TravelCostEngine::CostMany) pay the source's label walk once.
+// parallel planes — hub ranks (int32, 16 per cache line) and distances
+// (double). Each node's run is terminated by a rank sentinel, so label
+// walks use a single compare per step — no per-node vector headers, no
+// bound checks. Every query spreads one node's label into a rank-indexed
+// scratch array (pin), walks the other node's run against it, and restores
+// the scratch (unpin); one-to-many batches (TravelCostEngine::CostMany) pin
+// once and walk many targets.
 //
 // Ownership (DESIGN.md §"Graph import and persistence"): queries read the
 // arena through borrowed views. A built labeling owns the planes; a
@@ -49,18 +49,23 @@ class HubLabeling {
       Span<const double> dists, size_t total_entries,
       std::shared_ptr<const void> payload);
 
-  /// Exact shortest-path cost (infinity if disconnected).
+  /// Exact shortest-path cost (infinity if disconnected): pins s into
+  /// ThreadScratch(), walks t's run, unpins.
   double Query(NodeId s, NodeId t) const;
 
   // One-to-many protocol: PinSource spreads s's label into \p scratch
   // (>= num_ranks() doubles, all +infinity), QueryPinned answers targets
   // with results identical to Query(s, t), UnpinSource restores the
-  // all-infinity invariant. The scratch is caller-owned so batched callers
-  // can keep one per thread.
-  size_t num_ranks() const { return num_nodes_; }
+  // all-infinity invariant.
+  size_t num_ranks() const { return offsets_view_.size(); }
   void PinSource(NodeId s, double* scratch) const;
   double QueryPinned(const double* scratch, NodeId t) const;
   void UnpinSource(NodeId s, double* scratch) const;
+
+  /// The calling thread's scratch, shared by Query and pinned batches:
+  /// >= num_ranks() doubles, all +infinity between pin/unpin pairs. Valid
+  /// until the thread calls this on a larger labeling.
+  double* ThreadScratch() const;
 
   // Arena section views for serialization (roadnet/snapshot.cc). The rank
   // and distance planes include the per-node sentinels.
@@ -86,7 +91,6 @@ class HubLabeling {
   Span<const uint32_t> offsets_view_;
   std::shared_ptr<const void> payload_;  ///< keeps borrowed sections alive
   size_t total_entries_ = 0;             ///< real entries (sentinels excluded)
-  size_t num_nodes_ = 0;
 };
 
 }  // namespace structride

@@ -485,10 +485,10 @@ bool LoadGraphSnapshot(const std::string& path,
         reinterpret_cast<const int32_t*>(sections[kHlRanks].data), plane);
     Span<const double> hl_dists(
         reinterpret_cast<const double*>(sections[kHlDists].data), plane);
-    // Memory-safety boundary: the merge join walks each run to its
-    // sentinel, and PinSource writes scratch[rank]. Every run start must be
-    // in range, every rank in [0, n) or the sentinel, ranks ascending per
-    // run, and the plane must end on a sentinel so no walk escapes it.
+    // Memory-safety boundary: every label walk runs to its sentinel, and
+    // PinSource writes scratch[rank]. Every run start must be in range,
+    // every rank in [0, n) or the sentinel, ranks ascending per run, and
+    // the plane must end on a sentinel so no walk escapes it.
     if (plane == 0 || hl_ranks[plane - 1] != HubLabeling::kSentinelRank) {
       *error = path + ": hub-label plane does not end on a sentinel";
       return false;

@@ -1,7 +1,6 @@
 #include "roadnet/travel_cost.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "roadnet/dijkstra.h"
 #include "roadnet/hub_labeling.h"
@@ -11,8 +10,6 @@
 namespace structride {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Canonical pair key: the network is undirected and every backend is
 // symmetric, so (s, t) and (t, s) must share one cache slot.
@@ -26,11 +23,6 @@ inline uint64_t PairKey(NodeId s, NodeId t) {
 inline uint64_t ShardHash(uint64_t key) {
   return (key * 0x9e3779b97f4a7c15ull) >> 32;
 }
-
-// Per-thread rank-indexed scratch for pinned hub-label sources. Invariant:
-// every element is +infinity between CostMany calls (UnpinSource restores
-// it), so a fresh pin only writes the source's own label ranks.
-thread_local std::vector<double> tls_hl_scratch;
 
 }  // namespace
 
@@ -161,10 +153,7 @@ void TravelCostEngine::CostMany(NodeId source, Span<const NodeId> targets,
         // never touches the scratch. Pinning under the shard lock is safe —
         // it only reads the immutable label buffer and writes this thread's
         // scratch.
-        if (tls_hl_scratch.size() < hl->num_ranks()) {
-          tls_hl_scratch.resize(hl->num_ranks(), kInf);
-        }
-        scratch = tls_hl_scratch.data();
+        scratch = hl->ThreadScratch();
         hl->PinSource(source, scratch);
         pinned = true;
       }

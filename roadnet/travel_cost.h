@@ -71,8 +71,8 @@ class TravelCostEngine {
   /// Batched one-to-many costs: out[i] = Cost(source, targets[i]), with
   /// identical cache fills, query counts and lookup counts as issuing the
   /// point-to-point calls in order. With the hub-label backend the source's
-  /// label is pinned once into a per-thread rank-indexed scratch, so each
-  /// miss costs one target-label walk instead of a full merge join.
+  /// label is pinned once into the per-thread rank-indexed scratch, so each
+  /// miss costs one target-label walk instead of a pin, walk and unpin.
   /// Thread-safe.
   void CostMany(NodeId source, Span<const NodeId> targets, double* out) const;
 

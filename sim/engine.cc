@@ -277,7 +277,7 @@ class SimulationEngine::EventRun : public ScenarioHost {
   void MigrateVehicle(size_t vi);
   void DrainEscrow();
   void ScheduleEscrow();
-  void CheckConservation() const;
+  void CheckConservation();
 
   SimulationEngine* owner_;
   TravelCostEngine* engine_;
@@ -303,6 +303,8 @@ class SimulationEngine::EventRun : public ScenarioHost {
     int64_t scenario = -1;  ///< which scenario pulled it
   };
   std::vector<PulledVehicle> pulled_stack_;
+  /// CheckConservation's per-vehicle marks, kept so a round reuses them.
+  std::vector<char> conservation_seen_;
 
   EventQueue queue_;
   std::unique_ptr<ThreadPool> pool_;
@@ -956,11 +958,12 @@ void SimulationEngine::EventRun::ScheduleEscrow() {
   }
 }
 
-void SimulationEngine::EventRun::CheckConservation() const {
+void SimulationEngine::EventRun::CheckConservation() {
   // Vehicle conservation: the member lists are ascending, disjoint, and
   // partition [0, fleet) exactly — no vehicle lost or duplicated by
   // migration.
-  std::vector<char> seen(fleet_.size(), 0);
+  std::vector<char>& seen = conservation_seen_;
+  seen.assign(fleet_.size(), 0);
   size_t total = 0;
   for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
     for (size_t k = 0; k < sh->members.size(); ++k) {

@@ -9,16 +9,20 @@
 //  2. The pooled dispatcher hot paths (SARD, GAS, RTV) perform zero heap
 //     allocations on a steady-state batch: after one warm-up round over a
 //     fixed pending pool, re-dispatching the same pool allocates nothing.
+//  3. The travel-cost cache's FlatLru fills its reserved entry pool and
+//     then evicts without touching the heap.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "batch_context.h"
 #include "dispatch/dispatcher.h"
+#include "roadnet/flat_lru.h"
 #include "roadnet/generator.h"
 #include "sim/workload.h"
 #include "util/alloc_gate.h"
@@ -77,6 +81,30 @@ TEST(AllocGateTest, ArenaScopeRewindsToTheSameStorage) {
   void* b = arena.Allocate(0);
   EXPECT_NE(a, nullptr);
   EXPECT_NE(a, b);
+}
+
+// The entry pool is reserved at construction and appended to as the cache
+// fills, so filling to capacity and evicting from then on allocate nothing.
+TEST(AllocGateTest, FlatLruFillsAndEvictsWithoutAllocating) {
+  constexpr uint64_t kCapacity = 4096;
+  FlatLru lru(kCapacity);
+  const uint64_t before = CurrentHeapAllocCount();
+  for (uint64_t k = 0; k < kCapacity; ++k) {
+    EXPECT_FALSE(lru.Insert(k, 0.5 * static_cast<double>(k)).has_value());
+  }
+  EXPECT_EQ(lru.size(), kCapacity);
+  for (uint64_t k = kCapacity; k < 3 * kCapacity; ++k) {
+    // Untouched since insertion, the oldest key is the LRU victim.
+    std::optional<uint64_t> evicted =
+        lru.Insert(k, 0.5 * static_cast<double>(k));
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(*evicted, k - kCapacity);
+    const double* hit = lru.Find(k);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, 0.5 * static_cast<double>(k));
+  }
+  EXPECT_EQ(lru.size(), kCapacity);
+  EXPECT_EQ(CurrentHeapAllocCount() - before, uint64_t{0});
 }
 
 // The dispatcher-level gate. The context is built the way the engine builds

@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <list>
+#include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -15,7 +21,10 @@
 #include "roadnet/flat_lru.h"
 #include "roadnet/generator.h"
 #include "roadnet/hub_labeling.h"
+#include "roadnet/importer.h"
+#include "roadnet/snapshot.h"
 #include "roadnet/travel_cost.h"
+#include "sim/datasets.h"
 #include "util/random.h"
 
 namespace structride {
@@ -29,6 +38,23 @@ const RoadNetwork& Net() {
     opt.seed = 13;
     return GenerateGridCity(opt);
   }();
+  return net;
+}
+
+// Island A: a 2x2 block at the origin; island B: the same block far away,
+// with no connecting edge, so half of all ordered pairs are +inf.
+RoadNetwork TwoIslands() {
+  RoadNetwork net;
+  for (double off : {0.0, 50.0}) {
+    NodeId base = net.AddNode({off, off});
+    net.AddNode({off + 1, off});
+    net.AddNode({off, off + 1});
+    net.AddNode({off + 1, off + 1});
+    net.AddEdge(base, base + 1, 1.2);
+    net.AddEdge(base, base + 2, 1.1);
+    net.AddEdge(base + 1, base + 3, 1.3);
+    net.AddEdge(base + 2, base + 3, 1.4);
+  }
   return net;
 }
 
@@ -241,18 +267,7 @@ TEST(RoadnetTest, RandomGridBackendEquivalence) {
 // from every backend; intra-island costs must still match Dijkstra.
 TEST(RoadnetTest, DisconnectedComponentsReportInfinity) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  RoadNetwork net;
-  // Island A: a 2x2 block at the origin; island B: the same block far away.
-  for (double off : {0.0, 50.0}) {
-    NodeId base = net.AddNode({off, off});
-    net.AddNode({off + 1, off});
-    net.AddNode({off, off + 1});
-    net.AddNode({off + 1, off + 1});
-    net.AddEdge(base, base + 1, 1.2);
-    net.AddEdge(base, base + 2, 1.1);
-    net.AddEdge(base + 1, base + 3, 1.3);
-    net.AddEdge(base + 2, base + 3, 1.4);
-  }
+  RoadNetwork net = TwoIslands();
   HubLabeling hl(net);
   for (NodeId s = 0; s < 4; ++s) {
     for (NodeId t = 4; t < 8; ++t) {
@@ -366,6 +381,279 @@ TEST(RoadnetTest, FlatLruMatchesReferenceListLru) {
     ASSERT_EQ(flat.size(), ref_map.size());
   }
   EXPECT_GT(flat.MemoryBytes(), 0u);
+}
+
+// ------------------------------------------------------ label-plane goldens --
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+// FNV-1a over the little-endian bytes of each folded word (the golden_test
+// digest).
+class Fnv {
+ public:
+  void Word(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 1099511628211ull;
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+struct LabelGolden {
+  const char* graph;
+  uint64_t nodes;
+  uint64_t entries;  ///< TotalLabelEntries()
+  uint64_t offsets;  ///< digest of the offset plane
+  uint64_t ranks;    ///< digest of the rank plane, sentinels included
+  uint64_t dists;    ///< digest of the distance plane's bit patterns
+};
+
+// Recorded from the merge-join pruning build; any build must reproduce
+// every label byte. On a mismatch the test prints the current table.
+const LabelGolden kLabelGolden[] = {
+    {"CHD", 1600, 163635,
+     0x45557b8a6d6e9686, 0x6f5d8acd23c2caaa, 0x4cd2160d17b2caac},
+    {"NYC", 2304, 295260,
+     0x84045ec3829ef203, 0xc734dc881bba6186, 0x3b8d1f7d7e20d229},
+    {"Cainiao", 1024, 77229,
+     0xee2dbfce23901671, 0x1f900779cbab273f, 0x185b213c309c0131},
+    {"mini.gr", 484, 23082,
+     0x3cb0f63295d3ed2f, 0xa06921e8c05ac1a3, 0x8b408cbdb8fb120a},
+};
+
+std::string FixturePath(const char* name) {
+  return std::string(STRUCTRIDE_TEST_DATA_DIR) + "/" + name;
+}
+
+RoadNetwork FixtureNetwork() {
+  RoadNetwork net;
+  ImportStats stats;
+  std::string error;
+  EXPECT_TRUE(ImportDimacs(FixturePath("mini.gr"), FixturePath("mini.co"), {},
+                           &net, &stats, &error))
+      << error;
+  return net;
+}
+
+RoadNetwork PresetNetwork(const char* name) {
+  return GenerateGridCity(DatasetByName(name, 1.0).city);
+}
+
+LabelGolden DigestLabels(const char* graph, const HubLabeling& hl) {
+  Fnv offsets, ranks, dists;
+  for (uint32_t o : hl.label_offsets()) offsets.Word(o);
+  for (int32_t r : hl.rank_plane()) ranks.Word(static_cast<uint32_t>(r));
+  for (double d : hl.dist_plane()) dists.Word(Bits(d));
+  return {graph,           hl.num_ranks(), hl.TotalLabelEntries(),
+          offsets.value(), ranks.value(),  dists.value()};
+}
+
+std::string PrintLabelTable(const std::vector<LabelGolden>& rows) {
+  std::string out = "const LabelGolden kLabelGolden[] = {\n";
+  for (const LabelGolden& r : rows) {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"%s\", %" PRIu64 ", %" PRIu64 ",\n"
+                  "     0x%016" PRIx64 ", 0x%016" PRIx64 ", 0x%016" PRIx64
+                  "},\n",
+                  r.graph, r.nodes, r.entries, r.offsets, r.ranks, r.dists);
+    out += buf;
+  }
+  return out + "};\n";
+}
+
+// The hub-label arena of every preset city and of the bundled fixture is
+// pinned byte for byte: offsets, ranks and distance bits.
+TEST(RoadnetTest, LabelPlanesMatchGolden) {
+  std::vector<LabelGolden> current;
+  for (const char* preset : {"CHD", "NYC", "Cainiao"}) {
+    current.push_back(DigestLabels(preset, HubLabeling(PresetNetwork(preset))));
+  }
+  current.push_back(DigestLabels("mini.gr", HubLabeling(FixtureNetwork())));
+
+  const size_t n = sizeof(kLabelGolden) / sizeof(kLabelGolden[0]);
+  bool match = current.size() == n;
+  for (size_t i = 0; match && i < n; ++i) {
+    const LabelGolden& g = kLabelGolden[i];
+    const LabelGolden& c = current[i];
+    match = std::strcmp(g.graph, c.graph) == 0 && g.nodes == c.nodes &&
+            g.entries == c.entries && g.offsets == c.offsets &&
+            g.ranks == c.ranks && g.dists == c.dists;
+  }
+  EXPECT_TRUE(match) << "kLabelGolden differs; the current table is:\n"
+                     << PrintLabelTable(current);
+}
+
+// --------------------------------------------------------- query oracle --
+
+// The sorted-label merge join: min over the hubs both runs share of the two
+// distances' sum, walking both sentinel-terminated runs in rank order. The
+// library answers Query by pinning instead; this is the oracle it must match
+// bit for bit.
+double MergeJoinQuery(const HubLabeling& hl, NodeId s, NodeId t) {
+  if (s == t) return 0;
+  const int32_t* R = hl.rank_plane().data();
+  const double* D = hl.dist_plane().data();
+  size_t i = hl.label_offsets()[static_cast<size_t>(s)];
+  size_t j = hl.label_offsets()[static_cast<size_t>(t)];
+  double best = std::numeric_limits<double>::infinity();
+  for (;;) {
+    const int32_t ra = R[i];
+    const int32_t rb = R[j];
+    if (ra == rb) {
+      if (ra == HubLabeling::kSentinelRank) break;
+      const double d = D[i] + D[j];
+      if (d < best) best = d;
+      ++i;
+      ++j;
+    } else if (ra < rb) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return best;
+}
+
+struct PairCensus {
+  size_t pairs = 0;
+  size_t mismatches = 0;
+  size_t self = 0;
+  size_t disconnected = 0;
+};
+
+// Query against the oracle over every ordered pair, s == t included.
+PairCensus CheckAllPairs(const HubLabeling& hl) {
+  PairCensus c;
+  const auto n = static_cast<NodeId>(hl.num_ranks());
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      const double want = MergeJoinQuery(hl, s, t);
+      const double got = hl.Query(s, t);
+      ++c.pairs;
+      if (Bits(got) != Bits(want)) {
+        if (c.mismatches++ < 5) {
+          ADD_FAILURE() << "Query(" << s << ", " << t << ") = " << got
+                        << ", oracle " << want;
+        }
+      }
+      if (s == t) ++c.self;
+      if (want == std::numeric_limits<double>::infinity()) ++c.disconnected;
+    }
+  }
+  return c;
+}
+
+// The labeling loaded back from a snapshot: the same arena through borrowed
+// views.
+std::unique_ptr<HubLabeling> LoadedLabels(const RoadNetwork& net,
+                                          const HubLabeling& hl,
+                                          const std::string& name,
+                                          GraphBundle* bundle) {
+  const std::string path = testing::TempDir() + name;
+  SnapshotWriteOptions opts;
+  opts.hub_labels = &hl;
+  std::string error;
+  EXPECT_TRUE(WriteGraphSnapshot(net, opts, path, &error)) << error;
+  EXPECT_TRUE(LoadGraphSnapshot(path, {}, bundle, &error)) << error;
+  std::remove(path.c_str());
+  return std::move(bundle->hub_labels);
+}
+
+TEST(RoadnetTest, QueryMatchesMergeJoinOracleBitwise) {
+  struct Case {
+    const char* name;
+    RoadNetwork net;
+    size_t disconnected;  ///< ordered pairs the oracle reports +inf
+  };
+  Case cases[] = {{"Cainiao", PresetNetwork("Cainiao"), 0},
+                  {"mini.gr", FixtureNetwork(), 0},
+                  {"islands", TwoIslands(), 32}};
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    HubLabeling built(c.net);
+    GraphBundle bundle;
+    std::unique_ptr<HubLabeling> loaded =
+        LoadedLabels(c.net, built, std::string(c.name) + ".snap", &bundle);
+    ASSERT_NE(loaded, nullptr);
+    for (const HubLabeling* hl : {&built, loaded.get()}) {
+      const PairCensus census = CheckAllPairs(*hl);
+      EXPECT_EQ(census.mismatches, 0u);
+      EXPECT_EQ(census.pairs, c.net.num_nodes() * c.net.num_nodes());
+      EXPECT_EQ(census.self, c.net.num_nodes());
+      EXPECT_EQ(census.disconnected, c.disconnected);
+    }
+  }
+}
+
+// Query and CostMany share one per-thread rank scratch. Interleaving them on
+// one thread must leave every answer exact and every scratch slot +inf
+// between calls, including after batches across disconnected islands.
+TEST(RoadnetTest, QueryAndCostManyShareTheThreadScratch) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const RoadNetwork& net : {PresetNetwork("Cainiao"), TwoIslands()}) {
+    HubLabeling hl(net);
+    TravelCostOptions options;
+    options.prebuilt_hub_labels = &hl;
+    TravelCostEngine engine(net, options);
+    const auto n = static_cast<int64_t>(net.num_nodes());
+    Rng rng(23);
+    auto all_slots_inf = [&] {
+      const double* scratch = hl.ThreadScratch();
+      for (size_t r = 0; r < hl.num_ranks(); ++r) {
+        if (scratch[r] != kInf) return false;
+      }
+      return true;
+    };
+    for (int round = 0; round < 50; ++round) {
+      const auto a = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      const auto b = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      EXPECT_EQ(Bits(hl.Query(a, b)), Bits(MergeJoinQuery(hl, a, b)));
+      ASSERT_TRUE(all_slots_inf()) << "after Query, round " << round;
+
+      const auto source = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      std::vector<NodeId> targets;
+      for (int k = 0; k < 12; ++k) {
+        targets.push_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)));
+      }
+      targets.push_back(source);
+      std::vector<double> out(targets.size());
+      engine.CostMany(source, {targets.data(), targets.size()}, out.data());
+      ASSERT_TRUE(all_slots_inf()) << "after CostMany, round " << round;
+      for (size_t k = 0; k < targets.size(); ++k) {
+        EXPECT_EQ(Bits(out[k]), Bits(MergeJoinQuery(hl, source, targets[k])))
+            << "round " << round << " target " << k;
+        EXPECT_EQ(Bits(hl.Query(source, targets[k])), Bits(out[k]));
+      }
+    }
+  }
+}
+
+// ----------------------------------------------------------- FlatLru pool --
+
+// The entry pool is reserved, not filled, at construction; capacity and the
+// reported bytes are those of the fully allocated pool and index.
+TEST(RoadnetTest, FlatLruReportsTheReservedPool) {
+  struct Row {
+    size_t requested;
+    size_t capacity;
+    size_t bytes;  ///< 24-byte entries plus a 2x power-of-two int32 index
+  };
+  for (const Row& row : {Row{0, 1, 32}, Row{1, 1, 32}, Row{8, 8, 256},
+                         Row{1000, 1000, 32192}, Row{16384, 16384, 524288}}) {
+    FlatLru lru(row.requested);
+    EXPECT_EQ(lru.capacity(), row.capacity) << row.requested;
+    EXPECT_EQ(lru.MemoryBytes(), row.bytes) << row.requested;
+    EXPECT_EQ(lru.size(), 0u);
+  }
 }
 
 }  // namespace
