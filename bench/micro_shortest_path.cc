@@ -13,8 +13,9 @@
 //     cases (own main below).
 //
 //  2. The Google-Benchmark cases: raw hub-label query vs bidirectional
-//     Dijkstra, the cached engine hot path, batched CostMany, and index
-//     construction.
+//     Dijkstra, the cached engine hot path, batched CostMany, index
+//     construction, and the warm-cache hit path over 2^19 distinct NYC
+//     pairs (BM_WarmCacheHitWindowed / BM_WarmCacheHitUniform).
 //
 // With STRUCTRIDE_JSON_DIR set, the study writes
 // $STRUCTRIDE_JSON_DIR/BENCH_micro_shortest_path_latency.json.
@@ -25,7 +26,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -314,6 +317,94 @@ void BM_EngineCostMany(benchmark::State& state) {
                           static_cast<int64_t>(kFanOut));
 }
 BENCHMARK(BM_EngineCostMany);
+
+// The hit path at a dispatch-sized working set: 2^19 distinct pairs of the
+// NYC preset graph, every one already in the cache, asked in two patterns.
+// BM_CachedEngineHot's 64 pairs and densitybench's one repeated pair stay
+// in the CPU caches, so both understate a real hit.
+//  - windowed: blocks of 256 consecutive pairs, each block asked 16 times
+//    round-robin before the next, so a pair is re-asked within a short
+//    window as a dispatch round re-prices its candidates. The per-thread
+//    memo serves the re-asks.
+//  - uniform: pairs drawn uniformly from the whole set, so almost no pair
+//    is still in the memo and nearly every lookup is an LRU hit.
+// One benchmark iteration is one lookup, so the time per iteration is the
+// ns per lookup.
+struct HitPathFixture {
+  static constexpr size_t kPairs = size_t{1} << 19;
+  static constexpr size_t kWindow = 256;
+  static constexpr size_t kRepeats = 16;
+
+  HitPathFixture() {
+    DatasetSpec spec = DatasetByName("NYC", 1.0);
+    net = BuildNetwork(&spec);
+    engine = std::make_unique<TravelCostEngine>(net);
+    Rng rng(19);
+    const int64_t n = static_cast<int64_t>(net.num_nodes());
+    std::unordered_set<uint64_t> seen;
+    seen.reserve(kPairs);
+    while (pairs.size() < kPairs) {
+      const auto s = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      const auto t = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      const NodeId lo = std::min(s, t), hi = std::max(s, t);
+      if (s == t || !seen.insert((static_cast<uint64_t>(lo) << 32) |
+                                 static_cast<uint32_t>(hi))
+                         .second) {
+        continue;
+      }
+      pairs.emplace_back(s, t);
+    }
+    for (const auto& [s, t] : pairs) engine->Cost(s, t);  // all cached
+    for (size_t base = 0; base < kPairs; base += kWindow) {
+      for (size_t r = 0; r < kRepeats; ++r) {
+        for (size_t k = base; k < base + kWindow; ++k) {
+          windowed.push_back(static_cast<uint32_t>(k));
+        }
+      }
+    }
+    for (size_t i = 0; i < windowed.size(); ++i) {
+      uniform.push_back(static_cast<uint32_t>(
+          rng.UniformInt(0, static_cast<int64_t>(kPairs) - 1)));
+    }
+  }
+
+  static HitPathFixture& Get() {
+    static HitPathFixture fixture;
+    return fixture;
+  }
+
+  void Run(benchmark::State& state, const std::vector<uint32_t>& order) {
+    const uint64_t queries = engine->num_queries();
+    size_t i = 0;
+    for (auto _ : state) {
+      const auto& [s, t] = pairs[order[i]];
+      benchmark::DoNotOptimize(engine->Cost(s, t));
+      if (++i == order.size()) i = 0;
+    }
+    if (engine->num_queries() != queries) {
+      state.SkipWithError("a warm-cache lookup missed");
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  }
+
+  RoadNetwork net;
+  std::unique_ptr<TravelCostEngine> engine;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  std::vector<uint32_t> windowed;  ///< pair indices, windowed pattern
+  std::vector<uint32_t> uniform;   ///< pair indices, uniform pattern
+};
+
+void BM_WarmCacheHitWindowed(benchmark::State& state) {
+  HitPathFixture& f = HitPathFixture::Get();
+  f.Run(state, f.windowed);
+}
+BENCHMARK(BM_WarmCacheHitWindowed);
+
+void BM_WarmCacheHitUniform(benchmark::State& state) {
+  HitPathFixture& f = HitPathFixture::Get();
+  f.Run(state, f.uniform);
+}
+BENCHMARK(BM_WarmCacheHitUniform);
 
 void BM_DijkstraAll(benchmark::State& state) {
   const RoadNetwork& net = Net();

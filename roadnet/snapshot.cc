@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -14,7 +15,8 @@ namespace structride {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'R', 'S', 'N', 'A', 'P', '1', '\0'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;          ///< written; word-wise checksum
+constexpr uint32_t kByteWiseVersion = 1;  ///< still loads; byte-wise checksum
 constexpr size_t kHeaderBytes = 64;
 constexpr size_t kSectionAlign = 4096;
 constexpr uint32_t kMaxSections = 64;
@@ -35,7 +37,7 @@ struct Header {
   char magic[8];
   uint32_t version;
   uint32_t num_sections;
-  uint64_t checksum;   ///< FNV-1a64 over bytes [kHeaderBytes, file_size)
+  uint64_t checksum;   ///< over bytes [kHeaderBytes, file_size); see Checksum
   uint64_t file_size;
   uint64_t num_nodes;
   uint64_t num_edges;
@@ -62,12 +64,61 @@ static_assert(sizeof(Point) == 16, "point layout changed");
 constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
+// Version 1's checksum: FNV-1a64, one multiply per byte.
 uint64_t Fnv1a(uint64_t state, const uint8_t* data, size_t size) {
   for (size_t i = 0; i < size; ++i) {
     state ^= data[i];
     state *= kFnvPrime;
   }
   return state;
+}
+
+// Version 2's checksum: the FNV-1a step applied to little-endian u64 words,
+// one multiply per 8 bytes; a tail shorter than a word folds byte-wise.
+// Each step is a bijection of the state, so any single changed word changes
+// the result. Streams: bytes that do not yet fill a word wait in carry_.
+class WordFold {
+ public:
+  void Update(const uint8_t* data, size_t size) {
+    if (carried_ != 0) {
+      const size_t take = std::min(sizeof(carry_) - carried_, size);
+      std::memcpy(carry_ + carried_, data, take);
+      carried_ += take;
+      data += take;
+      size -= take;
+      if (carried_ < sizeof(carry_)) return;
+      Word(carry_);
+      carried_ = 0;
+    }
+    for (; size >= sizeof(uint64_t); data += sizeof(uint64_t),
+                                     size -= sizeof(uint64_t)) {
+      Word(data);
+    }
+    std::memcpy(carry_, data, size);
+    carried_ = size;
+  }
+
+  uint64_t Finish() const { return Fnv1a(state_, carry_, carried_); }
+
+ private:
+  void Word(const uint8_t* p) {
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));  // little-endian hosts only (see header)
+    state_ ^= w;
+    state_ *= kFnvPrime;
+  }
+
+  uint64_t state_ = kFnvOffset;
+  uint8_t carry_[sizeof(uint64_t)] = {};
+  size_t carried_ = 0;
+};
+
+// The checksum a file of \p version carries over its post-header bytes.
+uint64_t Checksum(uint32_t version, const uint8_t* data, size_t size) {
+  if (version == kByteWiseVersion) return Fnv1a(kFnvOffset, data, size);
+  WordFold fold;
+  fold.Update(data, size);
+  return fold.Finish();
 }
 
 size_t AlignUp(size_t v, size_t a) { return (v + a - 1) / a * a; }
@@ -78,7 +129,7 @@ size_t AlignUp(size_t v, size_t a) { return (v + a - 1) / a * a; }
 // the running checksum, so the writer never holds the whole file in memory.
 struct ChecksummedWriter {
   FILE* f;
-  uint64_t checksum = kFnvOffset;
+  WordFold checksum{};
   size_t written = 0;
   bool failed = false;
 
@@ -90,8 +141,7 @@ struct ChecksummedWriter {
     }
     if (written + size > kHeaderBytes) {
       size_t skip = written < kHeaderBytes ? kHeaderBytes - written : 0;
-      checksum = Fnv1a(checksum, static_cast<const uint8_t*>(data) + skip,
-                       size - skip);
+      checksum.Update(static_cast<const uint8_t*>(data) + skip, size - skip);
     }
     written += size;
   }
@@ -263,7 +313,7 @@ bool WriteGraphSnapshot(const RoadNetwork& net,
     return false;
   }
   // Patch the checksum now that every post-header byte has been folded in.
-  header.checksum = w.checksum;
+  header.checksum = w.checksum.Finish();
   std::fseek(f, 0, SEEK_SET);
   bool ok = std::fwrite(&header, 1, sizeof(header), f) == sizeof(header);
   ok = std::fclose(f) == 0 && ok;
@@ -386,7 +436,7 @@ bool LoadGraphSnapshot(const std::string& path,
     *error = path + ": not a structride snapshot (bad magic)";
     return false;
   }
-  if (header.version != kVersion) {
+  if (header.version != kVersion && header.version != kByteWiseVersion) {
     *error = path + ": unsupported snapshot version " +
              std::to_string(header.version);
     return false;
@@ -404,8 +454,8 @@ bool LoadGraphSnapshot(const std::string& path,
              std::to_string(header.num_sections) + " sections)";
     return false;
   }
-  const uint64_t checksum =
-      Fnv1a(kFnvOffset, base + kHeaderBytes, file_size - kHeaderBytes);
+  const uint64_t checksum = Checksum(header.version, base + kHeaderBytes,
+                                     file_size - kHeaderBytes);
   if (checksum != header.checksum) {
     *error = path + ": checksum mismatch (corrupt file)";
     return false;
@@ -551,8 +601,11 @@ bool RewriteSnapshotChecksum(const std::string& path, std::string* error) {
     *error = path + ": too small to hold a snapshot header";
     return false;
   }
-  const uint64_t checksum = Fnv1a(kFnvOffset, src->data() + kHeaderBytes,
-                                  src->size() - kHeaderBytes);
+  Header header;
+  std::memcpy(&header, src->data(), sizeof(header));
+  const uint64_t checksum = Checksum(header.version,
+                                     src->data() + kHeaderBytes,
+                                     src->size() - kHeaderBytes);
   FILE* f = std::fopen(path.c_str(), "rb+");
   if (f == nullptr) {
     *error = "cannot open " + path + " for update";

@@ -10,10 +10,14 @@
 //   [ zero padding to the next 4096-byte boundary ]
 //   [ section 0 bytes ][ padding ][ section 1 bytes ][ padding ] ...
 //
-// Header: magic "SRSNAP1\0", u32 version (currently 1), u32 num_sections,
-// u64 FNV-1a checksum over every byte after the header, u64 file size, the
-// u64 shape counts (num_nodes, num_edges, hl_total_entries) that the
-// section sizes are validated against, and a reserved u64 written as 0.
+// Header: magic "SRSNAP1\0", u32 version (2 is written; 1 still loads),
+// u32 num_sections, a u64 checksum over every byte after the header, u64
+// file size, the u64 shape counts (num_nodes, num_edges, hl_total_entries)
+// that the section sizes are validated against, and a reserved u64 written
+// as 0. The checksum is FNV-1a64's step folded over little-endian u64 words
+// in version 2 (a tail under 8 bytes folds byte by byte) and byte-wise
+// FNV-1a64 in version 1. The word fold takes an eighth of the steps; the
+// byte-wise fold was most of a heap load's time.
 //
 // Sections are raw arrays in the exact in-memory layout the query paths
 // read (struct padding zeroed at write time so files are byte-reproducible)
@@ -116,8 +120,9 @@ bool LoadGraphSnapshot(const std::string& path,
 bool IsSnapshotFile(const std::string& path);
 
 /// Test helper: recomputes and rewrites the header checksum of an existing
-/// snapshot file. Lets the adversarial tests corrupt section *contents* and
-/// still get past the checksum gate to exercise structural validation.
+/// snapshot file, with the fold its header's version names. Lets the
+/// adversarial tests corrupt section *contents* and still get past the
+/// checksum gate to exercise structural validation.
 bool RewriteSnapshotChecksum(const std::string& path, std::string* error);
 
 }  // namespace structride

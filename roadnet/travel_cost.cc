@@ -24,11 +24,33 @@ inline uint64_t ShardHash(uint64_t key) {
   return (key * 0x9e3779b97f4a7c15ull) >> 32;
 }
 
+// The per-thread memo in front of the striped LRU (see the header). Static,
+// zero-initialised thread-local storage: no constructor, no heap, nothing
+// to set up on a new thread. A zero slot never matches, because engine ids
+// start at 1 and s == t (the only way to form key 0) never reaches the memo.
+struct MemoSlot {
+  uint64_t engine_id;
+  uint64_t key;
+  double cost;
+};
+constexpr int kMemoBits = 12;  // 4,096 slots, 96 KB per thread
+thread_local MemoSlot tls_memo[size_t{1} << kMemoBits];
+
+// The top bits of the Fibonacci product: independent of the low bits that
+// pick the shard, so one shard's pairs spread over the whole memo.
+inline MemoSlot& MemoFor(uint64_t key) {
+  return tls_memo[(key * 0x9e3779b97f4a7c15ull) >> (64 - kMemoBits)];
+}
+
+std::atomic<uint64_t> next_engine_id{1};
+
 }  // namespace
 
 TravelCostEngine::TravelCostEngine(const RoadNetwork& net,
                                    TravelCostOptions options)
-    : net_(net), options_(options) {
+    : net_(net),
+      options_(options),
+      id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)) {
   // Freeze before any backend build or concurrent use: every search below
   // iterates the CSR spans.
   const_cast<RoadNetwork&>(net_).Freeze();
@@ -43,7 +65,10 @@ TravelCostEngine::TravelCostEngine(const RoadNetwork& net,
 
 TravelCostEngine::TravelCostEngine(TravelCostEngine* parent, size_t capacity,
                                    size_t stripes)
-    : net_(parent->net_), options_(parent->options_), parent_(parent) {
+    : net_(parent->net_),
+      options_(parent->options_),
+      id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)),
+      parent_(parent) {
   options_.cache_capacity = capacity;
   options_.cache_shards = stripes;
   BuildCache(capacity, stripes);
@@ -104,20 +129,29 @@ double TravelCostEngine::BackendCost(NodeId s, NodeId t) const {
 
 double TravelCostEngine::Cost(NodeId s, NodeId t) const {
   if (s == t) {
-    self_lookups_.fetch_add(1, std::memory_order_relaxed);
+    unlocked_lookups_.fetch_add(1, std::memory_order_relaxed);
     return 0;
   }
   const uint64_t key = PairKey(s, t);
+  MemoSlot& memo = MemoFor(key);
+  if (memo.key == key && memo.engine_id == id_) {
+    unlocked_lookups_.fetch_add(1, std::memory_order_relaxed);
+    return memo.cost;
+  }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   ++shard.lookups;
-  if (const double* hit = shard.lru.Find(key)) return *hit;
+  if (const double* hit = shard.lru.Find(key)) {
+    memo = {id_, key, *hit};
+    return *hit;
+  }
   // Miss: compute while holding the shard lock. This serializes racing
   // threads on the same cold pair (the loser sees a hit above), so a backend
   // computation is counted exactly when its result is inserted.
   double cost = BackendCost(s, t);
   shard.lru.Insert(key, cost);
   ++shard.queries;
+  memo = {id_, key, cost};
   return cost;
 }
 
@@ -131,18 +165,26 @@ void TravelCostEngine::CostMany(NodeId source, Span<const NodeId> targets,
                                                                    : nullptr;
   bool pinned = false;
   double* scratch = nullptr;
+  uint64_t unlocked = 0;  // self targets and memo hits, added once at the end
   for (size_t i = 0; i < targets.size(); ++i) {
     const NodeId t = targets[i];
     if (t == source) {
-      self_lookups_.fetch_add(1, std::memory_order_relaxed);
+      ++unlocked;
       out[i] = 0;
       continue;
     }
     const uint64_t key = PairKey(source, t);
+    MemoSlot& memo = MemoFor(key);
+    if (memo.key == key && memo.engine_id == id_) {
+      ++unlocked;
+      out[i] = memo.cost;
+      continue;
+    }
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.lookups;
     if (const double* hit = shard.lru.Find(key)) {
+      memo = {id_, key, *hit};
       out[i] = *hit;
       continue;
     }
@@ -163,9 +205,13 @@ void TravelCostEngine::CostMany(NodeId source, Span<const NodeId> targets,
     }
     shard.lru.Insert(key, cost);
     ++shard.queries;
+    memo = {id_, key, cost};
     out[i] = cost;
   }
   if (pinned) hl->UnpinSource(source, scratch);
+  if (unlocked != 0) {
+    unlocked_lookups_.fetch_add(unlocked, std::memory_order_relaxed);
+  }
 }
 
 uint64_t TravelCostEngine::OwnQueries() const {
@@ -178,7 +224,7 @@ uint64_t TravelCostEngine::OwnQueries() const {
 }
 
 uint64_t TravelCostEngine::OwnLookups() const {
-  uint64_t total = self_lookups_.load(std::memory_order_relaxed);
+  uint64_t total = unlocked_lookups_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     total += shard->lookups;

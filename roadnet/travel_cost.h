@@ -18,8 +18,26 @@
 //    second finds a hit, and num_queries() is identical at 1 and N threads
 //    (as long as the working set fits the capacity — eviction order, and
 //    hence re-misses, are the one thing access interleaving can change).
+//  - In front of the striped LRU sits a per-thread memo: a fixed,
+//    direct-mapped table of 4,096 {engine id, pair key, cost} slots in
+//    static zero-initialised thread-local storage. Cost and every target of
+//    CostMany check it before taking a shard lock; LRU hits and inserts fill
+//    it. A memo hit takes no lock and does not touch the LRU, so it skips
+//    the relink that dominates an LRU hit; it still counts as a lookup, on
+//    a relaxed atomic of the engine, so num_lookups() stays exact. Slots are
+//    tagged with a process-unique engine id (never `this`, whose address a
+//    later engine may reuse), so partitions and later engines never see each
+//    other's entries. Costs never change once computed, so every returned
+//    double is the backend's whatever the memo holds. Misses, inserts,
+//    num_queries() and the in-flight dedup are the LRU's alone.
+//  - Consequence for num_queries(): while the working set fits the capacity
+//    nothing is evicted and the count is exact and thread-count invariant.
+//    Under eviction a memo hit does not refresh the pair's LRU recency, so
+//    which pair is evicted — and hence the re-miss count — can differ from
+//    an LRU-only cache; outcomes and returned costs cannot.
 //  - CostMany(s, targets) is per-target equivalent to Cost(s, t): the same
-//    hits, the same misses, the same counts, in the same order — it only
+//    memo and LRU hits, the same misses, the same counts, in the same order
+//    (its lock-free counts are added once, as the call returns) — it only
 //    pins the source's hub label once so the batch pays the source-side
 //    label walk a single time instead of per pair.
 
@@ -99,7 +117,8 @@ class TravelCostEngine {
 
   /// Backend shortest-path computations (i.e. entries inserted on misses).
   uint64_t num_queries() const;
-  /// All Cost() calls (CostMany counts one per target), hits included.
+  /// All Cost() calls (CostMany counts one per target), memo and LRU hits
+  /// included.
   uint64_t num_lookups() const;
   double CacheHitRate() const;
 
@@ -135,12 +154,14 @@ class TravelCostEngine {
   TravelCostOptions options_;
   std::unique_ptr<HubLabeling> hub_labels_;
 
+  /// Tags this engine's per-thread memo slots; unique for the process's
+  /// lifetime and never 0 (the value of a zero-initialised slot).
+  const uint64_t id_;
   mutable std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
-  /// s == t lookups only: they never touch a shard, so they keep their own
-  /// counter; everything else is counted under the shard lock it already
-  /// takes (one atomic RMW fewer on the hot path).
-  mutable std::atomic<uint64_t> self_lookups_{0};
+  /// Lookups that take no shard lock: s == t and memo hits. Everything else
+  /// is counted under the shard lock it already takes.
+  mutable std::atomic<uint64_t> unlocked_lookups_{0};
 
   /// Partition bookkeeping. parent_ is set on children; children_ and the
   /// retired_* accumulators live on the parent.

@@ -10,7 +10,9 @@
 //     allocations on a steady-state batch: after one warm-up round over a
 //     fixed pending pool, re-dispatching the same pool allocates nothing.
 //  3. The travel-cost cache's FlatLru fills its reserved entry pool and
-//     then evicts without touching the heap.
+//     then evicts without touching the heap, and the per-thread memo in
+//     front of it fills and hits without touching the heap, on a fresh
+//     thread's first calls too.
 
 #include <gtest/gtest.h>
 
@@ -18,12 +20,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "batch_context.h"
 #include "dispatch/dispatcher.h"
 #include "roadnet/flat_lru.h"
 #include "roadnet/generator.h"
+#include "roadnet/travel_cost.h"
 #include "sim/workload.h"
 #include "util/alloc_gate.h"
 #include "util/arena.h"
@@ -105,6 +109,51 @@ TEST(AllocGateTest, FlatLruFillsAndEvictsWithoutAllocating) {
   }
   EXPECT_EQ(lru.size(), kCapacity);
   EXPECT_EQ(CurrentHeapAllocCount() - before, uint64_t{0});
+}
+
+// The memo is static, zero-initialised thread-local storage, so nothing is
+// set up on a new thread: on a fresh std::thread, filling the memo from LRU
+// hits, hitting it (Cost and CostMany), and filling it from inserts once the
+// thread's hub-label scratch exists allocate nothing.
+TEST(AllocGateTest, TravelCostMemoFillsAndHitsWithoutAllocating) {
+  CityOptions opt;
+  opt.rows = 12;
+  opt.cols = 12;
+  opt.seed = 53;
+  RoadNetwork net = GenerateGridCity(opt);
+  TravelCostEngine engine(net);
+  const NodeId n = static_cast<NodeId>(net.num_nodes());
+  for (NodeId s = 0; s < n; ++s) engine.Cost(s, n - 1 - s);  // LRU warm
+
+  uint64_t lru_hit_fills = 0, memo_hits = 0, many_hits = 0,
+           insert_fills = 0;
+  std::thread([&] {
+    uint64_t before = CurrentHeapAllocCount();
+    for (NodeId s = 0; s < n; ++s) engine.Cost(s, n - 1 - s);
+    lru_hit_fills = CurrentHeapAllocCount() - before;
+
+    before = CurrentHeapAllocCount();
+    for (NodeId s = 0; s < n; ++s) engine.Cost(n - 1 - s, s);
+    memo_hits = CurrentHeapAllocCount() - before;
+
+    const NodeId targets[] = {n - 1, 0, n - 1};  // memo-warm, self, again
+    double out[3];
+    before = CurrentHeapAllocCount();
+    engine.CostMany(0, {targets, 3}, out);
+    many_hits = CurrentHeapAllocCount() - before;
+
+    engine.Cost(1, 2);  // the first miss sizes this thread's label scratch
+    before = CurrentHeapAllocCount();
+    for (NodeId s = 0; s + 5 < n; ++s) engine.Cost(s, s + 5);
+    insert_fills = CurrentHeapAllocCount() - before;
+  }).join();
+  EXPECT_EQ(lru_hit_fills, 0u);
+  EXPECT_EQ(memo_hits, 0u);
+  EXPECT_EQ(many_hits, 0u);
+  EXPECT_EQ(insert_fills, 0u);
+  // Every call is a lookup, memo hits included.
+  const uint64_t calls = static_cast<uint64_t>(n);
+  EXPECT_EQ(engine.num_lookups(), calls + calls + calls + 3 + 1 + calls - 5);
 }
 
 // The dispatcher-level gate. The context is built the way the engine builds

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "roadnet/travel_cost.h"
 #include "sim/datasets.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
@@ -198,6 +199,49 @@ TEST(EngineTest, DowntimeIsThreadCountInvariant) {
   RunMetrics one = run_threads(1);
   RunMetrics eight = run_threads(8);
   ExpectBitwiseEqual(one, eight);
+}
+
+// The eviction-regime contract (DESIGN.md §9): a travel-cost cache far
+// smaller than the working set changes which pairs are recomputed, never an
+// outcome. SARD on NYC at scale 0.2 (1 thread, 1 shard) with a 1,024-pair,
+// 4-stripe cache serves the same riders at bitwise the same costs as with
+// the default cache. Its sp_queries is pinned: a per-thread memo hit does
+// not refresh the pair's LRU recency, so under eviction this count belongs
+// to the memo-fronted cache, not to a plain LRU (which read 13,612).
+TEST(EngineTest, SmallCacheMovesSpQueriesNeverOutcomes) {
+  constexpr uint64_t kSmallCacheSpQueries = 13075;
+  auto run = [](size_t capacity, size_t stripes) {
+    DatasetSpec spec = DatasetByName("NYC", 0.2);
+    RoadNetwork net = BuildNetwork(&spec);
+    TravelCostOptions options;
+    options.cache_capacity = capacity;
+    options.cache_shards = stripes;
+    TravelCostEngine engine(net, options);
+    std::vector<Request> requests =
+        GenerateWorkload(net, &engine, spec.policy, spec.workload);
+    SimulationOptions sopts;
+    sopts.batch_period = 5;
+    sopts.seed = 4242;
+    sopts.dataset = spec.name;
+    SimulationEngine sim(&engine, requests, sopts);
+    sim.SpawnFleet(spec.num_vehicles, spec.capacity);
+    DispatchConfig config;
+    config.vehicle_capacity = spec.capacity;
+    config.grouping.max_group_size = spec.capacity;
+    config.sharegraph.vehicle_capacity = spec.capacity;
+    return sim.Run("SARD", config);
+  };
+  const TravelCostOptions defaults;
+  const RunMetrics large = run(defaults.cache_capacity, defaults.cache_shards);
+  const RunMetrics small = run(1024, 4);
+  ASSERT_GT(large.served, 0);
+  EXPECT_EQ(small.served, large.served);
+  EXPECT_EQ(small.unified_cost, large.unified_cost);  // bitwise
+  EXPECT_EQ(small.travel_cost, large.travel_cost);
+  EXPECT_GT(small.sp_queries, large.sp_queries);  // eviction really happened
+  EXPECT_EQ(small.sp_queries, kSmallCacheSpQueries)
+      << "sp_queries at a 1,024-pair cache is now " << small.sp_queries
+      << " (default cache: " << large.sp_queries << ")";
 }
 
 // An unreachable reposition target (disconnected component, Cost = +inf)

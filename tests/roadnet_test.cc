@@ -10,6 +10,7 @@
 #include <limits>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -634,6 +635,153 @@ TEST(RoadnetTest, QueryAndCostManyShareTheThreadScratch) {
         EXPECT_EQ(Bits(hl.Query(source, targets[k])), Bits(out[k]));
       }
     }
+  }
+}
+
+// ------------------------------------------------------ per-thread memo --
+
+RoadNetwork Grid(int side, uint64_t seed) {
+  CityOptions opt;
+  opt.rows = side;
+  opt.cols = side;
+  opt.seed = seed;
+  return GenerateGridCity(opt);
+}
+
+// Memo slots are tagged with a process-unique engine id, not the engine's
+// address: an engine built in the storage of a destroyed one (so at the
+// same address) on another graph returns its own graph's costs for every
+// pair the first had cached, and a partition built where an earlier one
+// died counts its own misses.
+TEST(RoadnetTest, MemoNeverServesAnotherEngine) {
+  const RoadNetwork a = Grid(9, 13);
+  const RoadNetwork b = Grid(9, 14);
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  const NodeId n = static_cast<NodeId>(a.num_nodes());
+  TravelCostOptions options;
+  options.backend = TravelCostOptions::Backend::kBidirectionalDijkstra;
+
+  std::optional<TravelCostEngine> engine;
+  engine.emplace(a, options);
+  const TravelCostEngine* address = &*engine;
+  size_t differing = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = s + 1; t < n; t += 7) engine->Cost(s, t);  // memo warm
+  }
+  engine.reset();
+  engine.emplace(b, options);
+  ASSERT_EQ(&*engine, address);
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = s + 1; t < n; t += 7) {
+      const double want = BidirectionalDijkstra(b, s, t);
+      EXPECT_EQ(Bits(engine->Cost(s, t)), Bits(want)) << s << "-" << t;
+      EXPECT_EQ(Bits(engine->Cost(t, s)), Bits(want)) << t << "-" << s;
+      if (want != BidirectionalDijkstra(a, s, t)) ++differing;
+    }
+  }
+  EXPECT_GT(differing, 100u);  // the graphs really disagree
+
+  TravelCostEngine root(a, options);
+  uint64_t pairs = 0;
+  for (int life = 0; life < 2; ++life) {
+    auto part = root.MakeCachePartition(/*capacity=*/4096, /*stripes=*/4);
+    pairs = 0;
+    for (NodeId t = 1; t < n; ++t, ++pairs) part->Cost(0, t);
+    for (NodeId t = 1; t < n; ++t) part->Cost(t, 0);  // memo hits
+    EXPECT_EQ(part->num_queries(), pairs) << "life " << life;
+    EXPECT_EQ(part->num_lookups(), 2 * pairs) << "life " << life;
+  }
+  EXPECT_EQ(root.num_queries(), 2 * pairs);
+  EXPECT_EQ(root.num_lookups(), 4 * pairs);
+}
+
+// The fixed call sequence behind the recorded counts below: point-to-point
+// costs over a pool larger than the memo (so memo slots get displaced and
+// the LRU serves some repeats), CostMany fans with duplicate and self
+// targets, and re-asked pairs in both directions.
+void RunFixedSequence(const TravelCostEngine& engine, NodeId n) {
+  Rng rng(31);
+  std::vector<std::pair<NodeId, NodeId>> pool;
+  for (int i = 0; i < 6000; ++i) {
+    pool.emplace_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)),
+                      static_cast<NodeId>(rng.UniformInt(0, n - 1)));
+  }
+  std::vector<NodeId> targets(16);
+  std::vector<double> out(targets.size());
+  for (int step = 0; step < 20000; ++step) {
+    const auto& [s, t] = pool[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+    if (step % 2 == 0) {
+      engine.Cost(s, t);
+    } else {
+      engine.Cost(t, s);
+    }
+    if (step % 40 == 0) {
+      for (NodeId& target : targets) {
+        target = pool[static_cast<size_t>(rng.UniformInt(0, 999))].second;
+      }
+      targets[3] = s;          // self target
+      targets[9] = targets[2];  // duplicate
+      engine.CostMany(s, {targets.data(), targets.size()}, out.data());
+    }
+  }
+}
+
+// num_lookups() and num_queries() on the fixed sequence equal the values
+// recorded before the memo existed, at 1 thread and with 8 threads running
+// the sequence at once (the working set fits, so nothing is evicted).
+TEST(RoadnetTest, CountsOnAFixedSequenceMatchTheRecordedValues) {
+  constexpr uint64_t kLookups = 28000;
+  constexpr uint64_t kQueries = 12616;
+  const RoadNetwork net = Grid(40, 9);
+  const NodeId n = static_cast<NodeId>(net.num_nodes());
+  for (int threads : {1, 8}) {
+    TravelCostEngine engine(net);
+    std::vector<std::thread> workers;
+    for (int w = 0; w < threads; ++w) {
+      workers.emplace_back([&] { RunFixedSequence(engine, n); });
+    }
+    for (std::thread& w : workers) w.join();
+    EXPECT_EQ(engine.num_lookups(), kLookups * static_cast<uint64_t>(threads))
+        << threads << " threads";
+    EXPECT_EQ(engine.num_queries(), kQueries) << threads << " threads";
+  }
+}
+
+// CostMany equals point-to-point Cost bit for bit whatever the memo holds:
+// cold (fresh engine), warm (the same batch again, all memo hits), and with
+// the LRU warm but this thread's memo cold (a fresh thread on the engine).
+TEST(RoadnetTest, CostManyMatchesCostWithTheMemoWarmAndCold) {
+  const RoadNetwork net = Grid(20, 5);
+  const NodeId n = static_cast<NodeId>(net.num_nodes());
+  TravelCostEngine reference(net);
+  TravelCostEngine batch(net);
+  Rng rng(41);
+  for (int round = 0; round < 30; ++round) {
+    const auto source = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+    std::vector<NodeId> targets;
+    for (int k = 0; k < 24; ++k) {
+      targets.push_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)));
+    }
+    targets.push_back(source);
+    targets.push_back(targets[4]);
+    std::vector<double> want;
+    for (NodeId t : targets) want.push_back(reference.Cost(source, t));
+    std::vector<double> cold(targets.size()), warm(targets.size()),
+        other_thread(targets.size());
+    batch.CostMany(source, {targets.data(), targets.size()}, cold.data());
+    batch.CostMany(source, {targets.data(), targets.size()}, warm.data());
+    std::thread([&] {
+      batch.CostMany(source, {targets.data(), targets.size()},
+                     other_thread.data());
+    }).join();
+    for (size_t k = 0; k < targets.size(); ++k) {
+      EXPECT_EQ(Bits(cold[k]), Bits(want[k])) << round << "/" << k;
+      EXPECT_EQ(Bits(warm[k]), Bits(want[k])) << round << "/" << k;
+      EXPECT_EQ(Bits(other_thread[k]), Bits(want[k])) << round << "/" << k;
+    }
+    EXPECT_EQ(batch.num_queries(), reference.num_queries());
+    EXPECT_EQ(batch.num_lookups(), 3 * reference.num_lookups());
   }
 }
 

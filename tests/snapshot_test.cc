@@ -1,7 +1,7 @@
 // Binary snapshot persistence: lossless round-trips (bitwise-identical
 // costs from every backend, identical engine sp_queries, loaded vs built),
 // byte-reproducible writes, zero-copy mmap loads, files carrying the retired
-// section ids 7-9 still loading, and adversarial inputs — truncation,
+// section ids 7-9 and version-1 files still loading, and adversarial inputs — truncation,
 // checksum flips, wrong magic/version, out-of-bounds section offsets,
 // corrupt section contents — each failing loudly through the error return,
 // never reading out of bounds.
@@ -52,6 +52,7 @@ constexpr size_t kEntryBytes = 24;
 constexpr size_t kChecksumOffset = 16;
 constexpr size_t kVersionOffset = 8;
 constexpr size_t kNumSectionsOffset = 12;
+constexpr size_t kFileSizeOffset = 24;
 
 uint32_t NumSections(const std::string& bytes) {
   uint32_t n;
@@ -210,6 +211,107 @@ TEST(SnapshotTest, WritesAreByteReproducible) {
   ASSERT_TRUE(WriteGraphSnapshot(net, wopts, p1, &error)) << error;
   ASSERT_TRUE(WriteGraphSnapshot(net, wopts, p2, &error)) << error;
   EXPECT_EQ(Slurp(p1), Slurp(p2));
+}
+
+uint32_t Version(const std::string& bytes) {
+  uint32_t v;
+  std::memcpy(&v, bytes.data() + kVersionOffset, sizeof(v));
+  return v;
+}
+
+void SetVersion(std::string* bytes, uint32_t v) {
+  std::memcpy(&(*bytes)[kVersionOffset], &v, sizeof(v));
+}
+
+void SetChecksum(std::string* bytes, uint64_t checksum) {
+  std::memcpy(&(*bytes)[kChecksumOffset], &checksum, sizeof(checksum));
+}
+
+uint64_t StoredChecksum(const std::string& bytes) {
+  uint64_t c;
+  std::memcpy(&c, bytes.data() + kChecksumOffset, sizeof(c));
+  return c;
+}
+
+// Version 1's checksum, kept here as the reference: byte-wise FNV-1a64 over
+// every byte after the header.
+uint64_t ByteWiseFnv1a(const std::string& bytes) {
+  uint64_t state = 14695981039346656037ULL;
+  for (size_t i = kHeaderBytes; i < bytes.size(); ++i) {
+    state ^= static_cast<uint8_t>(bytes[i]);
+    state *= 1099511628211ULL;
+  }
+  return state;
+}
+
+// Version 2 is written; a version-1 file — the same bytes under a version-1
+// header and a byte-wise checksum — still loads with identical contents. A
+// version-1 header over a version-2 checksum does not.
+TEST(SnapshotTest, VersionOneFilesStillLoad) {
+  RoadNetwork net = MakeFixture();
+  net.Freeze();
+  HubLabeling hl(net);
+  std::string path = TempPath("v2.snap");
+  SnapshotWriteOptions wopts;
+  wopts.hub_labels = &hl;
+  std::string error;
+  ASSERT_TRUE(WriteGraphSnapshot(net, wopts, path, &error)) << error;
+  const std::string v2 = Slurp(path);
+  ASSERT_EQ(Version(v2), 2u);
+  EXPECT_NE(StoredChecksum(v2), ByteWiseFnv1a(v2));
+
+  std::string v1 = v2;
+  SetVersion(&v1, 1);
+  const std::string v1_path = TempPath("v1.snap");
+  Spit(v1_path, v1);
+  GraphBundle rejected;
+  EXPECT_FALSE(LoadGraphSnapshot(v1_path, {}, &rejected, &error));
+  EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
+
+  SetChecksum(&v1, ByteWiseFnv1a(v1));
+  Spit(v1_path, v1);
+  for (bool use_mmap : {false, true}) {
+    GraphBundle loaded;
+    SnapshotLoadOptions lopts;
+    lopts.use_mmap = use_mmap;
+    ASSERT_TRUE(LoadGraphSnapshot(v1_path, lopts, &loaded, &error)) << error;
+    ExpectBitwiseEqualBackends(net, hl, loaded, 4321);
+  }
+
+  // The test helper re-stamps each version with its own fold.
+  ASSERT_TRUE(RewriteSnapshotChecksum(v1_path, &error)) << error;
+  EXPECT_EQ(Slurp(v1_path), v1);
+  ASSERT_TRUE(RewriteSnapshotChecksum(path, &error)) << error;
+  EXPECT_EQ(Slurp(path), v2);
+}
+
+// The word-wise fold covers a tail shorter than a word: three bytes
+// appended past the last section (the file size patched to match) load
+// once re-checksummed, and flipping any one of them is caught.
+TEST(SnapshotTest, WordChecksumCoversTheTail) {
+  RoadNetwork net = MakeGrid();
+  HubLabeling hl(net);
+  std::string path = TempPath("tail.snap");
+  SnapshotWriteOptions wopts;
+  wopts.hub_labels = &hl;
+  std::string error;
+  ASSERT_TRUE(WriteGraphSnapshot(net, wopts, path, &error)) << error;
+  std::string bytes = Slurp(path) + std::string("\x01\x02\x03", 3);
+  const uint64_t size = bytes.size();
+  std::memcpy(&bytes[kFileSizeOffset], &size, sizeof(size));
+  Spit(path, bytes);
+  ASSERT_TRUE(RewriteSnapshotChecksum(path, &error)) << error;
+  const std::string stamped = Slurp(path);
+  GraphBundle loaded;
+  ASSERT_TRUE(LoadGraphSnapshot(path, {}, &loaded, &error)) << error;
+  for (size_t back = 1; back <= 3; ++back) {
+    std::string flipped = stamped;
+    flipped[flipped.size() - back] ^= 0x10;
+    Spit(path, flipped);
+    GraphBundle bundle;
+    EXPECT_FALSE(LoadGraphSnapshot(path, {}, &bundle, &error));
+    EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
+  }
 }
 
 TEST(SnapshotTest, GraphOnlySnapshotLoadsWithoutIndices) {
