@@ -1,29 +1,9 @@
 #include "roadnet/flat_lru.h"
 
-#include <sys/mman.h>
-
-#include <new>
-
 #include "util/bits.h"
 #include "util/logging.h"
 
 namespace structride {
-
-void* FlatLru::AllocateBuffer(size_t bytes) {
-  if (bytes < kMinMappedBytes) return ::operator new(bytes);
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) throw std::bad_alloc();
-  return p;
-}
-
-void FlatLru::ReleaseBuffer(void* p, size_t bytes) {
-  if (bytes < kMinMappedBytes) {
-    ::operator delete(p);
-    return;
-  }
-  SR_CHECK(::munmap(p, bytes) == 0);
-}
 
 FlatLru::FlatLru(size_t capacity) {
   if (capacity == 0) capacity = 1;

@@ -11,8 +11,6 @@
 // repeated lookups from a per-thread memo in front of this store. The pool
 // is reserved but not written: each insert appends one slot until the pool
 // is full, so a cache pays for the entries it holds, not for its capacity.
-// Buffers of 64 KiB and more are anonymous mappings of their own, unmapped
-// when the cache dies (see MappedAllocator).
 //
 // Semantics match the list-based shard it replaced exactly (tests pin the
 // parity): Find touches the entry most-recently-used, Insert evicts the
@@ -68,40 +66,10 @@ class FlatLru {
   /// chain stays contiguous.
   void EraseBucket(size_t b);
 
-  /// Gives a buffer of at least kMinMappedBytes its own anonymous mapping
-  /// and unmaps it on release; smaller ones come from operator new. From the
-  /// heap, a dead cache's pages stay resident in malloc's free lists, and
-  /// whether the next cache lands on them varies run to run: glibc's dynamic
-  /// mmap threshold sends these 128-384 KiB shard buffers to the heap once
-  /// the first is freed. densitybench's paced-service peak RSS read either
-  /// about 25.5 or 32 MB from one process to the next; mapped, a cache's
-  /// pages leave the resident set with it.
-  template <typename T>
-  struct MappedAllocator {
-    using value_type = T;
-    MappedAllocator() = default;
-    template <typename U>
-    MappedAllocator(const MappedAllocator<U>&) {}  // NOLINT: rebind
-    T* allocate(size_t n) {
-      return static_cast<T*>(AllocateBuffer(n * sizeof(T)));
-    }
-    void deallocate(T* p, size_t n) { ReleaseBuffer(p, n * sizeof(T)); }
-    friend bool operator==(const MappedAllocator&, const MappedAllocator&) {
-      return true;
-    }
-    friend bool operator!=(const MappedAllocator&, const MappedAllocator&) {
-      return false;
-    }
-  };
-  static constexpr size_t kMinMappedBytes = size_t{64} << 10;
-  static void* AllocateBuffer(size_t bytes);
-  static void ReleaseBuffer(void* p, size_t bytes);
-
   /// Pool reserved for capacity_ entries, grown by append until full; the
   /// slot of an entry never moves.
-  std::vector<Entry, MappedAllocator<Entry>> entries_;
-  /// Open addressing: entry index or -1.
-  std::vector<int32_t, MappedAllocator<int32_t>> table_;
+  std::vector<Entry> entries_;
+  std::vector<int32_t> table_;  ///< open addressing: entry index or -1
   size_t capacity_ = 0;
   size_t mask_ = 0;
   int shift_ = 0;

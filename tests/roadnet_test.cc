@@ -729,22 +729,29 @@ void RunFixedSequence(const TravelCostEngine& engine, NodeId n) {
 
 // num_lookups() and num_queries() on the fixed sequence equal the values
 // recorded before the memo existed, at 1 thread and with 8 threads running
-// the sequence at once (the working set fits, so nothing is evicted).
+// the sequence at once (the working set fits, so nothing is evicted), on a
+// root engine and on a cache partition, whose counts also fold into its
+// root's.
 TEST(RoadnetTest, CountsOnAFixedSequenceMatchTheRecordedValues) {
   constexpr uint64_t kLookups = 28000;
   constexpr uint64_t kQueries = 12616;
   const RoadNetwork net = Grid(40, 9);
   const NodeId n = static_cast<NodeId>(net.num_nodes());
   for (int threads : {1, 8}) {
+    const auto lookups = kLookups * static_cast<uint64_t>(threads);
     TravelCostEngine engine(net);
-    std::vector<std::thread> workers;
-    for (int w = 0; w < threads; ++w) {
-      workers.emplace_back([&] { RunFixedSequence(engine, n); });
+    auto partition = engine.MakeCachePartition(size_t{1} << 16, 16);
+    for (const TravelCostEngine* e : {&engine, partition.get()}) {
+      std::vector<std::thread> workers;
+      for (int w = 0; w < threads; ++w) {
+        workers.emplace_back([&] { RunFixedSequence(*e, n); });
+      }
+      for (std::thread& w : workers) w.join();
     }
-    for (std::thread& w : workers) w.join();
-    EXPECT_EQ(engine.num_lookups(), kLookups * static_cast<uint64_t>(threads))
-        << threads << " threads";
-    EXPECT_EQ(engine.num_queries(), kQueries) << threads << " threads";
+    EXPECT_EQ(partition->num_lookups(), lookups) << threads << " threads";
+    EXPECT_EQ(partition->num_queries(), kQueries) << threads << " threads";
+    EXPECT_EQ(engine.num_lookups(), 2 * lookups) << threads << " threads";
+    EXPECT_EQ(engine.num_queries(), 2 * kQueries) << threads << " threads";
   }
 }
 
